@@ -74,7 +74,7 @@ func cached(name string, spec eval.Spec) *benchEntry {
 			panic(err)
 		}
 		e.ds = ds
-		e.fds = hyfd.Discover(e.ds.Denormalized, hyfd.Options{MaxLhs: spec.MaxLhs, Parallel: true})
+		e.fds = hyfd.Discover(e.ds.Denormalized, hyfd.Options{MaxLhs: spec.MaxLhs})
 	})
 	return e
 }
@@ -99,7 +99,7 @@ func BenchmarkTable3Discovery(b *testing.B) {
 		ds := cached(name, spec).ds
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				hyfd.Discover(ds.Denormalized, hyfd.Options{MaxLhs: spec.MaxLhs, Parallel: true})
+				hyfd.Discover(ds.Denormalized, hyfd.Options{MaxLhs: spec.MaxLhs})
 			}
 		})
 	}
@@ -368,21 +368,14 @@ func BenchmarkAblationDiscoveryAlgorithms(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationUCCAlgorithms compares level-wise and hybrid UCC
-// discovery (component 7's substrate).
-func BenchmarkAblationUCCAlgorithms(b *testing.B) {
+// BenchmarkUCCDiscovery measures the level-wise UCC search behind
+// primary-key selection (component 7).
+func BenchmarkUCCDiscovery(b *testing.B) {
 	rel := mustDS(b)(datagen.TPCH(0.0001, 1)).Denormalized.ProjectSet("slice",
 		bitset.Of(52, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)).Dedup()
-	b.Run("levelwise", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ucc.Discover(rel, ucc.Options{})
-		}
-	})
-	b.Run("hybrid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ucc.DiscoverHybrid(rel, ucc.Options{})
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		ucc.Discover(rel, ucc.Options{})
+	}
 }
 
 // --- Parallel validation + shared substrate ---------------------------
@@ -395,7 +388,7 @@ func BenchmarkHyFDWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				hyfd.Discover(rel, hyfd.Options{MaxLhs: 3, Parallel: true, Workers: workers})
+				hyfd.Discover(rel, hyfd.Options{MaxLhs: 3, Workers: workers})
 			}
 		})
 	}
@@ -409,7 +402,7 @@ func BenchmarkHyFDSubstrate(b *testing.B) {
 	rel := mustDS(b)(datagen.TPCH(0.0002, 1)).Denormalized
 	b.Run("own", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hyfd.Discover(rel, hyfd.Options{MaxLhs: 3, Parallel: true})
+			hyfd.Discover(rel, hyfd.Options{MaxLhs: 3})
 		}
 	})
 	b.Run("shared", func(b *testing.B) {
@@ -419,7 +412,7 @@ func BenchmarkHyFDSubstrate(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			hyfd.Discover(rel, hyfd.Options{MaxLhs: 3, Parallel: true, Substrate: sub})
+			hyfd.Discover(rel, hyfd.Options{MaxLhs: 3, Substrate: sub})
 		}
 	})
 }
@@ -427,7 +420,7 @@ func BenchmarkHyFDSubstrate(b *testing.B) {
 // BenchmarkNormalizeWorkers measures the full pipeline — discovery,
 // closure, key derivation, decomposition, key selection — under
 // explicit worker counts, exercising the substrate cache and the
-// concurrent worklist pre-analysis end to end.
+// discovery worker pools end to end.
 func BenchmarkNormalizeWorkers(b *testing.B) {
 	ds := mustDS(b)(datagen.TPCH(0.0002, 1))
 	for _, workers := range []int{1, 2, 4, 8} {

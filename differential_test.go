@@ -95,7 +95,7 @@ func TestDifferentialTANEHyFDRandomRelations(t *testing.T) {
 
 		full := tane.Discover(rel, tane.Options{})
 		assertSameFDs(t, rel, full,
-			hyfd.Discover(rel, hyfd.Options{Parallel: trial%2 == 0}), label)
+			hyfd.Discover(rel, hyfd.Options{Workers: trial % 2}), label)
 
 		// The LHS-bounded covers must agree too (§4.3 pruning).
 		assertSameFDs(t, rel,

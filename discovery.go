@@ -55,7 +55,7 @@ func DiscoverFDs(rel *Relation, algo DiscoveryAlgorithm, maxLhs int) *FDSet {
 	case DFD:
 		return dfd.Discover(rel, dfd.Options{MaxLhs: maxLhs})
 	default:
-		return hyfd.Discover(rel, hyfd.Options{MaxLhs: maxLhs, Parallel: true})
+		return hyfd.Discover(rel, hyfd.Options{MaxLhs: maxLhs})
 	}
 }
 
@@ -69,7 +69,7 @@ func DiscoverFDsContext(ctx context.Context, rel *Relation, algo DiscoveryAlgori
 	case DFD:
 		return dfd.DiscoverContext(ctx, rel, dfd.Options{MaxLhs: maxLhs})
 	default:
-		return hyfd.DiscoverContext(ctx, rel, hyfd.Options{MaxLhs: maxLhs, Parallel: true})
+		return hyfd.DiscoverContext(ctx, rel, hyfd.Options{MaxLhs: maxLhs})
 	}
 }
 
@@ -85,16 +85,17 @@ func DiscoverKeysContext(ctx context.Context, rel *Relation) ([]*AttrSet, error)
 	return ucc.DiscoverContext(ctx, rel, ucc.Options{})
 }
 
-// DiscoverKeysHybrid is DiscoverKeys with a HyUCC-style hybrid
-// algorithm (sampling + induction + validation, the UCC sibling of
-// HyFD) — usually faster on larger relations, identical results.
+// DiscoverKeysHybrid is DiscoverKeys, kept for API compatibility.
+// Minimal UCCs are unique, so every search algorithm returns the same
+// keys, and the level-wise search is as fast as a hybrid one on the
+// already-normalized tables keys are picked for (§5).
 func DiscoverKeysHybrid(rel *Relation) []*AttrSet {
-	return ucc.DiscoverHybrid(rel, ucc.Options{})
+	return DiscoverKeys(rel)
 }
 
-// DiscoverKeysHybridContext is DiscoverKeysHybrid with cancellation.
+// DiscoverKeysHybridContext is DiscoverKeysContext.
 func DiscoverKeysHybridContext(ctx context.Context, rel *Relation) ([]*AttrSet, error) {
-	return ucc.DiscoverHybridContext(ctx, rel, ucc.Options{})
+	return DiscoverKeysContext(ctx, rel)
 }
 
 // ExtendFDs maximizes every FD's right-hand side in place using

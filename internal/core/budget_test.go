@@ -164,7 +164,7 @@ func TestBudgetTripStage6(t *testing.T) {
 	opts := Options{
 		Budget: Budget{MaxMemoryBytes: 2048},
 		DiscoverContext: func(ctx context.Context, r *relation.Relation) (*fd.Set, error) {
-			return hyfd.DiscoverContext(ctx, r, hyfd.Options{Parallel: true})
+			return hyfd.DiscoverContext(ctx, r, hyfd.Options{})
 		},
 	}
 	res, err := NormalizeRelation(rel, opts)

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"time"
 
 	"normalize/internal/bitset"
@@ -19,7 +19,6 @@ import (
 	"normalize/internal/relation"
 	"normalize/internal/scoring"
 	"normalize/internal/violation"
-	"normalize/internal/wsteal"
 )
 
 // ClosureAlgorithm selects the closure variant (Section 4); the
@@ -46,11 +45,9 @@ type Options struct {
 	// MaxLhs prunes discovered FDs to left-hand sides of at most this
 	// size (0 = unbounded); Section 4.3's memory safeguard.
 	MaxLhs int
-	// Workers bounds the run's parallelism: closure computation, the
-	// candidate-validation worker pools of FD discovery, and the
-	// concurrent pre-analysis (key derivation plus violation detection)
-	// of independent worklist tables. 0 means GOMAXPROCS; 1 forces a
-	// fully serial run. Results are identical for every worker count —
+	// Workers bounds the run's parallelism: closure computation and the
+	// worker pools of FD discovery. 0 means GOMAXPROCS; 1 forces a fully
+	// serial run. Results are identical for every worker count —
 	// parallel stages merge their verdicts deterministically.
 	Workers int
 	// Closure selects the closure algorithm (optimized by default).
@@ -186,16 +183,13 @@ func NormalizeRelationContext(ctx context.Context, rel *relation.Relation, opts 
 		decider = AutoDecider{}
 	}
 	p := &run{
-		opts:     opts,
-		obs:      observe.Or(opts.Observer),
-		decider:  decider,
-		tr:       opts.Budget.tracker(),
-		res:      &Result{},
-		cache:    plicache.NewCache(),
-		workers:  effectiveWorkers(opts.Workers),
-		analyses: make(map[*Table]*analysis),
+		opts:    opts,
+		obs:     observe.Or(opts.Observer),
+		decider: decider,
+		tr:      opts.Budget.tracker(),
+		res:     &Result{},
+		cache:   plicache.NewCache(),
 	}
-	p.sem = make(chan struct{}, p.workers)
 	p.res.Stats.Attrs = rel.NumAttrs()
 	p.res.Stats.Records = rel.NumRows()
 
@@ -243,86 +237,16 @@ type run struct {
 	// st is the compressed PLI store backing the cache's substrates when
 	// the run has a memory ceiling; nil otherwise.
 	st *plistore.Store
-	// workers is the resolved parallelism (Options.Workers or GOMAXPROCS).
-	workers int
-	// analyses holds the asynchronously precomputed key-derivation and
-	// violation-detection results of enqueued worklist tables; sem
-	// bounds their concurrency to workers.
-	analyses map[*Table]*analysis
-	sem      chan struct{}
 	// scores memoizes the exact per-attribute-set facts behind candidate
 	// scoring, bound to the root instance after buildRoot.
 	scores *scoreIndex
+	// timedKeys and timedViolation record that Stats.KeyDerivation and
+	// Stats.Violation hold their stage's first call.
+	timedKeys, timedViolation bool
 
 	// firstStageErr remembers the first tolerated stage crash so a run
 	// that continued past per-table panics still reports them.
 	firstStageErr *StageError
-}
-
-// effectiveWorkers resolves Options.Workers: 0 means GOMAXPROCS, and
-// the result is clamped to the host's CPU count — oversubscribed pools
-// cannot add throughput to these CPU-bound stages.
-func effectiveWorkers(w int) int {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return wsteal.ClampWorkers(w)
-}
-
-// analysis is the asynchronously precomputed per-table work of the
-// decomposition loop: key derivation and violation detection depend
-// only on the table's own FDs and constraints, so independent worklist
-// tables can be analyzed concurrently while the coordinator decomposes
-// another. Results are folded back in pop order, and all observer
-// traffic stays on the coordinating goroutine, so instrumentation and
-// outcomes are identical to the serial loop.
-type analysis struct {
-	done    chan struct{}
-	keys    []*bitset.Set
-	keysDur time.Duration
-	keysErr error // stage-attributed panic from key derivation
-	viol    []*fd.FD
-	violDur time.Duration
-	violErr error // stage-attributed panic from violation detection
-}
-
-// analyze schedules the pre-analysis of an enqueued worklist table on
-// the bounded pool. Serial runs (workers == 1) skip it entirely; the
-// loop then computes both stages inline exactly as before.
-func (p *run) analyze(t *Table) {
-	if p.workers <= 1 {
-		return
-	}
-	a := &analysis{done: make(chan struct{})}
-	p.analyses[t] = a
-	go func() {
-		defer close(a.done)
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		start := time.Now()
-		a.keysErr = runStage(observe.KeyDerivation, func() error {
-			a.keys = keys.Derive(t.FDs, t.Attrs)
-			return nil
-		})
-		a.keysDur = time.Since(start)
-		if a.keysErr != nil {
-			return
-		}
-		start = time.Now()
-		a.violErr = runStage(observe.Violation, func() error {
-			a.viol = violation.Detect(violation.Input{
-				FDs:         t.FDs,
-				Keys:        a.keys,
-				RelAttrs:    t.Attrs,
-				NullAttrs:   t.NullAttrs,
-				PrimaryKey:  t.PrimaryKey,
-				ForeignKeys: foreignKeySets(t),
-				Mode:        p.opts.Mode,
-			})
-			return nil
-		})
-		a.violDur = time.Since(start)
-	}()
 }
 
 func (p *run) degrade(stage observe.Stage, resource, action, detail string) {
@@ -383,109 +307,130 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 	usedNames := map[string]bool{root.Name: true}
 
 	// (3)–(6) loop: key derivation, violation detection, selection,
-	// decomposition. Invariant: res.Tables ∪ worklist is at all times a
-	// lossless decomposition of the (possibly sampled) input, so an
-	// early stop can always flush the worklist into a usable result.
+	// decomposition.
+	if flush, stage, err := p.decompose(ctx, root, []*Table{root}, usedNames); err != nil {
+		return p.partial(stage, err, flush...)
+	}
+
+	// (7) Primary key selection for tables that never received one. A
+	// chosen key protects its attributes from later splits (Algorithm
+	// 4), which can make an FD the loop skipped — its RHS would have torn
+	// a foreign key apart — actionable; requeue collects such tables.
+	var requeue []*Table
+	perr := runStage(observe.PrimaryKey, func() error {
+		obs.StageStart(observe.PrimaryKey)
+		start := time.Now()
+		for _, t := range res.Tables {
+			if t.PrimaryKey != nil {
+				continue
+			}
+			if err := selectPrimaryKey(ctx, t, p.decider, p.opts.Observer, p.tr, p.cache); err != nil {
+				if ex, ok := isBudgetTrip(err); ok {
+					// A trip skips the remaining tables; without a
+					// primary key they stay as the loop left them.
+					p.degrade(observe.PrimaryKey, ex.Resource, "primary-key selection skipped",
+						fmt.Sprintf("budget %s at %d/%d; remaining tables keep derived keys only", ex.Resource, ex.Used, ex.Limit))
+					break
+				}
+				return err // span stays open: interrupted
+			}
+			if t.PrimaryKey != nil && len(p.detect(t)) > 0 {
+				requeue = append(requeue, t)
+			}
+		}
+		obs.StageFinish(observe.PrimaryKey, time.Since(start))
+		return nil
+	})
+	if perr != nil {
+		if !isPanic(perr) {
+			return p.partial(observe.PrimaryKey, perr)
+		}
+		p.degrade(observe.PrimaryKey, "panic", "primary-key selection skipped", perr.Error())
+		p.noteStageErr(perr)
+		requeue = nil
+	}
+
+	// Each requeued table goes back through the loop, its parts taking
+	// its place in the result. Every part inherits the table's primary
+	// key or receives its split's LHS as one, so none needs step (7).
+	if len(requeue) > 0 {
+		tables := res.Tables
+		res.Tables = make([]*Table, 0, len(tables))
+		for i, t := range tables {
+			if !slices.Contains(requeue, t) {
+				res.Tables = append(res.Tables, t)
+				continue
+			}
+			if flush, stage, err := p.decompose(ctx, root, []*Table{t}, usedNames); err != nil {
+				return p.partial(stage, err, append(flush, tables[i+1:]...)...)
+			}
+		}
+	}
+
+	p.flushCacheStats()
+	res.ScoreMemo = p.scores.memo()
+	if p.firstStageErr != nil {
+		return res, &PartialError{Stage: p.firstStageErr.Stage, Cause: p.firstStageErr}
+	}
+	return res, nil
+}
+
+// decompose runs the loop of components (3)–(6) until the worklist is
+// empty, appending every finished table to the result. Invariant:
+// res.Tables ∪ worklist is at all times a lossless decomposition of the
+// (possibly sampled) input, so an early stop can always flush the
+// worklist into a usable result: the stop returns the tables to flush
+// with its stage and cause.
+func (p *run) decompose(ctx context.Context, root *Table, worklist []*Table, usedNames map[string]bool) ([]*Table, observe.Stage, error) {
+	res := p.res
+	obs := p.obs
 	done := ctx.Done()
-	worklist := []*Table{root}
-	firstKey, firstViolation := true, true
 	for len(worklist) > 0 {
 		select {
 		case <-done:
-			return p.partial(observe.KeyDerivation, ctx.Err(), worklist...)
+			return worklist, observe.KeyDerivation, ctx.Err()
 		default:
 		}
 		t := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
 
-		// Collect the table's precomputed analysis, if one was scheduled.
-		a := p.analyses[t]
-		if a != nil {
-			delete(p.analyses, t)
-			select {
-			case <-a.done:
-			case <-done:
-				return p.partial(observe.KeyDerivation, ctx.Err(), append([]*Table{t}, worklist...)...)
-			}
-		}
-
 		var start time.Time
-		var kerr error
-		if a != nil {
-			// Replay the precomputed result with the serial loop's exact
-			// observer protocol: a crashed stage leaves its span open
-			// (interrupted), a finished one reports the measured duration.
+		kerr := runStage(observe.KeyDerivation, func() error {
 			obs.StageStart(observe.KeyDerivation)
-			if kerr = a.keysErr; kerr == nil {
-				t.Keys = a.keys
-				if firstKey {
-					res.Stats.KeyDerivation = a.keysDur
-					res.Stats.NumFDKeys = len(t.Keys)
-					firstKey = false
-				}
-				obs.Counter(observe.KeyDerivation, observe.CounterKeysDerived, int64(len(t.Keys)))
-				obs.StageFinish(observe.KeyDerivation, a.keysDur)
+			start = time.Now()
+			t.Keys = keys.Derive(t.FDs, t.Attrs)
+			if !p.timedKeys {
+				res.Stats.KeyDerivation = time.Since(start)
+				res.Stats.NumFDKeys = len(t.Keys)
+				p.timedKeys = true
 			}
-		} else {
-			kerr = runStage(observe.KeyDerivation, func() error {
-				obs.StageStart(observe.KeyDerivation)
-				start = time.Now()
-				t.Keys = keys.Derive(t.FDs, t.Attrs)
-				if firstKey {
-					res.Stats.KeyDerivation = time.Since(start)
-					res.Stats.NumFDKeys = len(t.Keys)
-					firstKey = false
-				}
-				obs.Counter(observe.KeyDerivation, observe.CounterKeysDerived, int64(len(t.Keys)))
-				obs.StageFinish(observe.KeyDerivation, time.Since(start))
-				return nil
-			})
-		}
+			obs.Counter(observe.KeyDerivation, observe.CounterKeysDerived, int64(len(t.Keys)))
+			obs.StageFinish(observe.KeyDerivation, time.Since(start))
+			return nil
+		})
 		if p.acceptOnCrash(kerr, t) {
 			continue
 		} else if kerr != nil {
-			return p.partial(observe.KeyDerivation, kerr, append([]*Table{t}, worklist...)...)
+			return append([]*Table{t}, worklist...), observe.KeyDerivation, kerr
 		}
 
 		var viol []*fd.FD
-		var verr error
-		if a != nil {
+		verr := runStage(observe.Violation, func() error {
 			obs.StageStart(observe.Violation)
-			if verr = a.violErr; verr == nil {
-				viol = a.viol
-				if firstViolation {
-					res.Stats.Violation = a.violDur
-					firstViolation = false
-				}
-				obs.Counter(observe.Violation, observe.CounterViolationsFound, int64(len(viol)))
-				obs.StageFinish(observe.Violation, a.violDur)
+			start = time.Now()
+			viol = p.detect(t)
+			if !p.timedViolation {
+				res.Stats.Violation = time.Since(start)
+				p.timedViolation = true
 			}
-		} else {
-			verr = runStage(observe.Violation, func() error {
-				obs.StageStart(observe.Violation)
-				start = time.Now()
-				viol = violation.Detect(violation.Input{
-					FDs:         t.FDs,
-					Keys:        t.Keys,
-					RelAttrs:    t.Attrs,
-					NullAttrs:   t.NullAttrs,
-					PrimaryKey:  t.PrimaryKey,
-					ForeignKeys: foreignKeySets(t),
-					Mode:        p.opts.Mode,
-				})
-				if firstViolation {
-					res.Stats.Violation = time.Since(start)
-					firstViolation = false
-				}
-				obs.Counter(observe.Violation, observe.CounterViolationsFound, int64(len(viol)))
-				obs.StageFinish(observe.Violation, time.Since(start))
-				return nil
-			})
-		}
+			obs.Counter(observe.Violation, observe.CounterViolationsFound, int64(len(viol)))
+			obs.StageFinish(observe.Violation, time.Since(start))
+			return nil
+		})
 		if p.acceptOnCrash(verr, t) {
 			continue
 		} else if verr != nil {
-			return p.partial(observe.Violation, verr, append([]*Table{t}, worklist...)...)
+			return append([]*Table{t}, worklist...), observe.Violation, verr
 		}
 
 		if len(viol) == 0 {
@@ -518,7 +463,7 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 		if p.acceptOnCrash(serr, t) {
 			continue
 		} else if serr != nil {
-			return p.partial(observe.Selection, serr, append([]*Table{t}, worklist...)...)
+			return append([]*Table{t}, worklist...), observe.Selection, serr
 		}
 		if chosen == nil {
 			// No split chosen: accept the table as is.
@@ -540,8 +485,6 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 			obs.Counter(observe.Decomposition, observe.CounterRowsMaterialized, rows)
 			obs.StageFinish(observe.Decomposition, time.Since(start))
 			worklist = append(worklist, r1, r2)
-			p.analyze(r1)
-			p.analyze(r2)
 			// The two projections retain new materialized instances
 			// (approximated as a string header per cell), while the
 			// parent's — unless it is the input root, which was never
@@ -567,51 +510,28 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 				// splitting and flush what remains.
 				p.degrade(observe.Decomposition, ex.Resource, "stopped decomposing",
 					fmt.Sprintf("budget %s at %d/%d; remaining tables kept undecomposed", ex.Resource, ex.Used, ex.Limit))
-				return p.partial(observe.Decomposition, derr, worklist...)
+				return worklist, observe.Decomposition, derr
 			}
 			// Context end mid-split: the halves were never enqueued, so
 			// t itself must be flushed alongside the worklist.
-			return p.partial(observe.Decomposition, derr, append([]*Table{t}, worklist...)...)
+			return append([]*Table{t}, worklist...), observe.Decomposition, derr
 		}
 	}
+	return nil, "", nil
+}
 
-	// (7) Primary key selection for tables that never received one.
-	perr := runStage(observe.PrimaryKey, func() error {
-		obs.StageStart(observe.PrimaryKey)
-		start := time.Now()
-		for _, t := range res.Tables {
-			if t.PrimaryKey != nil {
-				continue
-			}
-			if err := selectPrimaryKey(ctx, t, p.decider, p.opts.Observer, p.tr, p.cache); err != nil {
-				if ex, ok := isBudgetTrip(err); ok {
-					// Keys are decorative at this point — the schema is
-					// final — so a trip skips the remaining tables.
-					p.degrade(observe.PrimaryKey, ex.Resource, "primary-key selection skipped",
-						fmt.Sprintf("budget %s at %d/%d; remaining tables keep derived keys only", ex.Resource, ex.Used, ex.Limit))
-					break
-				}
-				return err // span stays open: interrupted
-			}
-		}
-		obs.StageFinish(observe.PrimaryKey, time.Since(start))
-		return nil
+// detect runs violation detection (Algorithm 4) on t's current keys and
+// constraints.
+func (p *run) detect(t *Table) []*fd.FD {
+	return violation.Detect(violation.Input{
+		FDs:         t.FDs,
+		Keys:        t.Keys,
+		RelAttrs:    t.Attrs,
+		NullAttrs:   t.NullAttrs,
+		PrimaryKey:  t.PrimaryKey,
+		ForeignKeys: foreignKeySets(t),
+		Mode:        p.opts.Mode,
 	})
-	if perr != nil {
-		if isPanic(perr) {
-			p.degrade(observe.PrimaryKey, "panic", "primary-key selection skipped", perr.Error())
-			p.noteStageErr(perr)
-		} else {
-			return p.partial(observe.PrimaryKey, perr)
-		}
-	}
-
-	p.flushCacheStats()
-	res.ScoreMemo = p.scores.memo()
-	if p.firstStageErr != nil {
-		return res, &PartialError{Stage: p.firstStageErr.Stage, Cause: p.firstStageErr}
-	}
-	return res, nil
 }
 
 // flushCacheStats reports the substrate cache's work — full encodes,
@@ -704,7 +624,7 @@ func (p *run) discoverFDs(ctx context.Context, rel *relation.Relation) (*fd.Set,
 				var sub *plicache.Substrate
 				if sub, derr = p.cache.ForWorkers(ctx, rel, p.opts.Workers); derr == nil {
 					fds, derr = hyfd.DiscoverContext(ctx, rel, hyfd.Options{
-						MaxLhs: maxLhs, Parallel: true, Workers: p.opts.Workers,
+						MaxLhs: maxLhs, Workers: p.opts.Workers,
 						Substrate: sub,
 						Observer:  p.opts.Observer, Budget: p.tr,
 					})
@@ -1044,7 +964,7 @@ func VerifyNormalForm(t *Table) error {
 // primary key (decomposing those would break the key — the classic
 // case where BCNF and constraint preservation conflict).
 func VerifyNormalFormMax(t *Table, maxLhs int) error {
-	found := hyfd.Discover(t.Data, hyfd.Options{MaxLhs: maxLhs})
+	found := hyfd.Discover(t.Data, hyfd.Options{MaxLhs: maxLhs, Workers: 1})
 	closure.Optimized(found)
 	n := t.Data.NumAttrs()
 	all := bitset.Full(n)

@@ -116,18 +116,29 @@ func TestLosslessJoin(t *testing.T) {
 }
 
 // checkLossless joins the decomposition tree back together and compares
-// with the (deduplicated) original.
+// with the (deduplicated) original. Tables are joined in result order,
+// except that a table sharing no attribute with the join so far waits
+// until one does.
 func checkLossless(orig *relation.Relation, tables []*Table) error {
 	if len(tables) == 0 {
 		return fmt.Errorf("no tables")
 	}
 	joined := tables[0].Data
-	var err error
-	for _, tbl := range tables[1:] {
-		joined, err = joined.NaturalJoin("joined", tbl.Data)
+	rest := append([]*Table(nil), tables[1:]...)
+	for len(rest) > 0 {
+		next := 0
+		for i, tbl := range rest {
+			if sharesAttr(joined, tbl.Data) {
+				next = i
+				break
+			}
+		}
+		var err error
+		joined, err = joined.NaturalJoin("joined", rest[next].Data)
 		if err != nil {
 			return err
 		}
+		rest = append(rest[:next], rest[next+1:]...)
 	}
 	// Reorder columns to the original attribute order.
 	cols := make([]int, len(orig.Attrs))
@@ -144,6 +155,15 @@ func checkLossless(orig *relation.Relation, tables []*Table) error {
 			reordered.Dedup().NumRows(), dedup.NumRows())
 	}
 	return nil
+}
+
+func sharesAttr(a, b *relation.Relation) bool {
+	for _, name := range b.Attrs {
+		if a.AttrIndex(name) >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // correlated generates a denormalized relation with an embedded
@@ -464,6 +484,44 @@ func TestClosureVariantsAgree(t *testing.T) {
 		if len(res.Tables) != len(base.Tables) {
 			t.Errorf("closure variant %d produced %d tables, optimized %d",
 				algo, len(res.Tables), len(base.Tables))
+		}
+	}
+}
+
+// keyProtectedViolation is a relation on which primary-key selection
+// creates a BCNF violation under MaxLhs 2: during decomposition the FD
+// c3,c4 → c5 cannot split table t, because its extended RHS would tear
+// a foreign key apart; once t's primary key is chosen, Algorithm 4
+// removes the key's attributes from that RHS and the split is possible.
+func keyProtectedViolation() *relation.Relation {
+	return relation.MustNew("t", []string{"c0", "c1", "c2", "c3", "c4", "c5"}, [][]string{
+		{"1", "1", "2", "1", "0", "2"},
+		{"0", "2", "2", "3", "1", "2"},
+		{"1", "0", "1", "1", "1", "1"},
+		{"1", "1", "1", "0", "1", "3"},
+		{"1", "1", "1", "0", "0", "0"},
+		{"0", "1", "3", "3", "2", "2"},
+		{"1", "1", "2", "3", "1", "2"},
+	})
+}
+
+// TestPrimaryKeyViolationDecomposed: a table whose newly chosen primary
+// key makes a skipped FD actionable goes back through the
+// decomposition loop, so every output table is in BCNF.
+func TestPrimaryKeyViolationDecomposed(t *testing.T) {
+	rel := keyProtectedViolation()
+	for _, workers := range []int{1, 2} {
+		res, err := NormalizeRelation(rel, Options{MaxLhs: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tbl := range res.Tables {
+			if err := VerifyNormalFormMax(tbl, 2); err != nil {
+				t.Errorf("workers=%d: %v", workers, err)
+			}
+		}
+		if err := checkLossless(rel, res.Tables); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
 		}
 	}
 }

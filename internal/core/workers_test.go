@@ -47,7 +47,7 @@ func schemaSignature(res *Result) string {
 // contract: every worker count must produce the byte-identical
 // normalized schema — same tables in the same order, same keys, same
 // materialized rows. Run under -race this also exercises the
-// concurrent worklist pre-analysis and the validation worker pools.
+// validation worker pools.
 func TestNormalizeWorkersDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	inputs := []*relation.Relation{address()}

@@ -2,13 +2,13 @@
 // that grew by appended rows. Instead of re-profiling the whole
 // instance, it re-validates the parent run's minimal FD cover against
 // only the tuple pairs the new rows can have created, demotes and
-// locally re-specializes what the delta refuted (HyFD-style — the
-// violating pairs seed the specialization frontier), and reuses every
-// untouched region of the lattice verbatim. The parent's exact scoring
-// facts (core.ScoreMemo) are maintained in O(delta) per attribute set,
-// so the downstream pipeline — closure, decomposition, candidate
-// selection, primary keys — reruns on the combined instance with every
-// expensive measurement already known.
+// locally re-specializes what the delta refuted, and reuses every
+// untouched region of the lattice verbatim — HyFD's own validation
+// loop in its revalidation mode (hyfd.Revalidate). The parent's exact
+// scoring facts (core.ScoreMemo) are maintained in O(delta) per
+// attribute set, so the downstream pipeline — closure, decomposition,
+// candidate selection, primary keys — reruns on the combined instance
+// with every expensive measurement already known.
 //
 // Correctness rests on two monotonicity facts. First, appending rows
 // only removes FDs: a violating pair of the base instance persists in
@@ -25,6 +25,7 @@ package delta
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -139,32 +140,35 @@ func Normalize(ctx context.Context, base *relation.Relation, rows [][]string, pa
 	if frac == 0 {
 		frac = DefaultFallbackFraction
 	}
+	maxDemoted := -1
+	if frac >= 0 {
+		maxDemoted = int(frac * float64(parent.Cover.CountSingle()))
+	}
 
 	opts := cfg.Options
 	opts.ScoreSeed = maintainMemo(parent.ScoreMemo, combinedCol, sub, baseRows)
 	obs := observe.Or(opts.Observer)
 	opts.DiscoverContext = func(dctx context.Context, rel *relation.Relation) (*fd.Set, error) {
+		hopts := hyfd.Options{MaxLhs: opts.MaxLhs, Workers: opts.Workers, Observer: opts.Observer}
 		if rel != combined {
 			// The pipeline re-sampled the input (only possible under a
 			// budget, which the guards reject) or was handed a different
 			// relation: the parent cover says nothing about it, so run
 			// ordinary discovery for correctness.
-			return hyfd.DiscoverContext(dctx, rel, hyfd.Options{
-				MaxLhs: opts.MaxLhs, Parallel: true, Workers: opts.Workers,
-				Observer: opts.Observer,
-			})
+			return hyfd.DiscoverContext(dctx, rel, hopts)
 		}
-		fds, fellBack, err := revalidate(dctx, sub, parent.Cover, baseRows, opts.MaxLhs, opts.Workers, frac, stats)
+		hopts.Substrate = sub
+		fds, rv, err := hyfd.Revalidate(dctx, combined, parent.Cover, baseRows, maxDemoted, hopts)
+		if errors.Is(err, hyfd.ErrTooManyDemoted) {
+			stats.FellBack = true
+			return hyfd.DiscoverContext(dctx, combined, hopts)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if fellBack {
-			stats.FellBack = true
-			return hyfd.DiscoverContext(dctx, combined, hyfd.Options{
-				MaxLhs: opts.MaxLhs, Parallel: true, Workers: opts.Workers,
-				Substrate: sub, Observer: opts.Observer,
-			})
-		}
+		stats.Checked += rv.Checked
+		stats.Demoted += rv.Demoted
+		stats.Reused += rv.Reused
 		obs.Counter(observe.Discovery, observe.CounterDeltaFDsChecked, stats.Checked)
 		obs.Counter(observe.Discovery, observe.CounterDeltaFDsDemoted, stats.Demoted)
 		obs.Counter(observe.Discovery, observe.CounterDeltaLatticeReused, stats.Reused)

@@ -392,3 +392,38 @@ func TestDeltaChained(t *testing.T) {
 		t.Fatalf("chained delta diverged\n%s\nvs\n%s", a, b)
 	}
 }
+
+// TestDeltaPrimaryKeyViolation: on a relation where primary-key
+// selection makes a skipped FD actionable (see core's
+// keyProtectedViolation), the delta run must match the from-scratch run
+// and leave every table in BCNF, whatever the split.
+func TestDeltaPrimaryKeyViolation(t *testing.T) {
+	rel := relation.MustNew("t", []string{"c0", "c1", "c2", "c3", "c4", "c5"}, [][]string{
+		{"1", "1", "2", "1", "0", "2"},
+		{"0", "2", "2", "3", "1", "2"},
+		{"1", "0", "1", "1", "1", "1"},
+		{"1", "1", "1", "0", "1", "3"},
+		{"1", "1", "1", "0", "0", "0"},
+		{"0", "1", "3", "3", "2", "2"},
+		{"1", "1", "2", "3", "1", "2"},
+	})
+	opts := core.Options{MaxLhs: 2, Workers: 1}
+	for baseRows := 1; baseRows < rel.NumRows(); baseRows++ {
+		label := fmt.Sprintf("base=%d", baseRows)
+		runBoth(t, rel, baseRows, opts, Config{}, label)
+		base := slice(rel, 0, baseRows)
+		parent, err := core.NormalizeRelation(base, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, _, err := Normalize(context.Background(), base, rowsOf(rel, baseRows, rel.NumRows()), parent, Config{Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tbl := range child.Tables {
+			if err := core.VerifyNormalFormMax(tbl, 2); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+		}
+	}
+}

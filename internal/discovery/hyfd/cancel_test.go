@@ -18,7 +18,7 @@ func TestDiscoverContextPreCancelled(t *testing.T) {
 	cancel()
 	ds := datagen.Plista(1)
 	start := time.Now()
-	_, err := DiscoverContext(ctx, ds.Denormalized, Options{Parallel: true})
+	_, err := DiscoverContext(ctx, ds.Denormalized, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -42,7 +42,7 @@ func TestDiscoverContextCancelMidRun(t *testing.T) {
 		cancelledAt = time.Now()
 		cancel()
 	}()
-	_, err := DiscoverContext(ctx, ds.Denormalized, Options{Parallel: true})
+	_, err := DiscoverContext(ctx, ds.Denormalized, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled (discovery normally runs for seconds)", err)
 	}
@@ -63,7 +63,7 @@ func TestDiscoverContextCancelSequential(t *testing.T) {
 		cancelledAt = time.Now()
 		cancel()
 	}()
-	_, err := DiscoverContext(ctx, ds.Denormalized, Options{})
+	_, err := DiscoverContext(ctx, ds.Denormalized, Options{Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -83,7 +83,7 @@ func TestDiscoverContextCancelledFlushesCounters(t *testing.T) {
 		rec := &observe.Recorder{}
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(delay, cancel)
-		_, err := DiscoverContext(ctx, ds.Denormalized, Options{Parallel: true, Observer: rec})
+		_, err := DiscoverContext(ctx, ds.Denormalized, Options{Observer: rec})
 		timer.Stop()
 		cancel()
 		if err == nil {

@@ -20,17 +20,25 @@
 // the optimized closure algorithm of the normalization pipeline relies
 // on.
 //
-// DiscoverContext supports cancellation: the sampling, induction, and
-// validation loops poll the context (including the parallel validation
-// workers, which wind down without leaking goroutines) and the call
-// returns ctx.Err() promptly. Work counters — agree sets sampled, FD
-// candidates induced, PLIs intersected, candidates checked, violations
-// found — are reported to Options.Observer under the fd-discovery
-// stage when the run finishes or is cancelled.
+// Revalidate is the same validate/induct loop run incrementally, for a
+// relation that grew by appended rows: the candidate tree starts from
+// the minimal cover of the rows before the append instead of sampling,
+// and each candidate is checked only against the partition clusters an
+// appended row falls into.
+//
+// DiscoverContext and Revalidate support cancellation: the sampling,
+// induction, and validation loops poll the context (including the
+// parallel validation workers, which wind down without leaking
+// goroutines) and the call returns ctx.Err() promptly. Work counters —
+// agree sets sampled, FD candidates induced, PLIs intersected,
+// candidates checked, violations found — are reported to
+// Options.Observer under the fd-discovery stage when the run finishes
+// or is cancelled.
 package hyfd
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -48,17 +56,13 @@ import (
 	"normalize/internal/wsteal"
 )
 
-// effectiveWorkers resolves the validation worker count: Workers wins
-// when positive, otherwise Parallel selects GOMAXPROCS and the default
-// is serial.
+// effectiveWorkers resolves the validation worker count: Workers when
+// positive, GOMAXPROCS otherwise, clamped to the host's CPUs.
 func (o Options) effectiveWorkers() int {
 	if o.Workers > 0 {
 		return wsteal.ClampWorkers(o.Workers)
 	}
-	if o.Parallel {
-		return wsteal.ClampWorkers(runtime.GOMAXPROCS(0))
-	}
-	return 1
+	return wsteal.ClampWorkers(runtime.GOMAXPROCS(0))
 }
 
 // Options configures discovery.
@@ -68,12 +72,9 @@ type Options struct {
 	// would not fit in memory; the pruned result is still a complete
 	// and correct cover for all FDs within the bound.
 	MaxLhs int
-	// Parallel enables concurrent candidate validation across worker
-	// goroutines (runtime.NumCPU of them unless Workers overrides).
-	Parallel bool
-	// Workers bounds the validation worker pool: 0 defers to Parallel
-	// (GOMAXPROCS workers when set, serial otherwise), 1 forces the
-	// serial path, N > 1 uses exactly N workers. Results are merged
+	// Workers bounds the worker pool of PLI building, sampling, and
+	// candidate validation: 0 means GOMAXPROCS, 1 forces the serial
+	// path, N > 1 uses exactly N workers. Results are merged
 	// deterministically, so every worker count produces byte-identical
 	// covers.
 	Workers int
@@ -111,13 +112,96 @@ func Discover(rel *relation.Relation, opts Options) *fd.Set {
 // mid-discovery the hot loops notice within the pipeline's ~100ms
 // latency contract and the call returns ctx.Err().
 func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) (*fd.Set, error) {
-	if err := ctx.Err(); err != nil {
+	d, fixed, err := newDiscoverer(ctx, rel, opts)
+	if d == nil {
+		return fixed, err
+	}
+	defer d.close()
+
+	// Positive cover starts at the most general hypothesis: every
+	// attribute is constant (∅ → A for all A).
+	empty := bitset.New(d.n)
+	for a := 0; a < d.n; a++ {
+		d.tree.Add(empty, a)
+	}
+
+	smp, err := newSampler(d.enc, d.handles)
+	if err != nil {
 		return nil, err
+	}
+	d.sampler = smp
+	rounds := opts.sampleRounds
+	if rounds == 0 {
+		rounds = 3
+	}
+	if err := d.sampleAndInduct(rounds); err != nil {
+		return nil, err
+	}
+	return d.finish()
+}
+
+// ErrTooManyDemoted is Revalidate's answer when the appended rows
+// refute more seed FDs than its cap allows: the tree has drifted so far
+// from the seed that discovery from scratch is the better bet.
+var ErrTooManyDemoted = errors.New("hyfd: appended rows refuted more seed FDs than allowed")
+
+// Revalidation reports the incremental work of one Revalidate call, in
+// single-RHS FDs.
+type Revalidation struct {
+	// Checked counts candidates validated against the data: every
+	// constant-column candidate ∅ → A, and every candidate whose LHS
+	// partition has a cluster holding an appended row. The others hold
+	// without a check.
+	Checked int64
+	// Demoted counts seed FDs the appended rows refuted.
+	Demoted int64
+	// Reused counts seed FDs carried into the result unchanged.
+	Reused int64
+}
+
+// Revalidate returns the minimal cover of rel exactly as DiscoverContext
+// would, given seed: the minimal cover of rel's rows before firstNew,
+// as DiscoverContext returns it with the same MaxLhs. Appending rows
+// only removes FDs, so every FD of rel specializes a seed FD, and every
+// candidate the tree holds holds on the rows before firstNew: a
+// violating pair must include an appended row. So there is no sampling
+// — the tree starts from seed — and a candidate is checked only against
+// the clusters of its LHS partition that hold a row at or after
+// firstNew. A negative maxDemoted disables the cap; past it the call
+// stops after the current lattice level with ErrTooManyDemoted.
+func Revalidate(ctx context.Context, rel *relation.Relation, seed *fd.Set, firstNew, maxDemoted int, opts Options) (*fd.Set, Revalidation, error) {
+	d, fixed, err := newDiscoverer(ctx, rel, opts)
+	if d == nil {
+		return fixed, Revalidation{}, err
+	}
+	defer d.close()
+
+	d.firstNew, d.maxDemoted = firstNew, int64(maxDemoted)
+	d.seeds = make(map[string]*bitset.Set, seed.Len())
+	for _, f := range seed.FDs {
+		d.tree.AddSet(f.Lhs, f.Rhs)
+		d.seeds[f.Lhs.Key()] = f.Rhs.Clone()
+	}
+	fds, err := d.finish()
+	rv := Revalidation{Checked: d.candidatesChecked.Load(), Demoted: d.demoted}
+	for _, rhs := range d.seeds {
+		rv.Reused += int64(rhs.Cardinality())
+	}
+	return fds, rv, err
+}
+
+// newDiscoverer readies what both entry points share: rel's substrate,
+// the per-attribute partitions, and the worker pool. A relation without
+// attributes or rows has a fixed cover, returned with a nil discoverer
+// (as is an error); otherwise the caller must call close.
+func newDiscoverer(ctx context.Context, rel *relation.Relation, opts Options) (*discoverer, *fd.Set, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 	n := rel.NumAttrs()
 	result := fd.NewSet(n)
 	if n == 0 {
-		return result, nil
+		return nil, result, nil
 	}
 	sub := opts.Substrate
 	if sub == nil {
@@ -127,7 +211,7 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 		var err error
 		sub, err = plicache.BuildWorkers(ctx, rel, opts.effectiveWorkers())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	enc := sub.Encoded()
@@ -135,11 +219,11 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 	// memory budget that cannot even hold it trips here, prompting the
 	// pipeline to sample rows instead of thrashing.
 	if err := opts.Budget.Grow(8 * int64(enc.NumRows) * int64(n)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if enc.NumRows == 0 {
 		result.Add(bitset.New(n), bitset.Full(n))
-		return result.Aggregate().Sort(), nil
+		return nil, result.Aggregate().Sort(), nil
 	}
 	maxLhs := opts.MaxLhs
 	if maxLhs <= 0 || maxLhs > n {
@@ -159,53 +243,43 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 		full:    bitset.Full(n),
 		outside: bitset.New(n),
 	}
-	defer d.flushCounters(observe.Or(opts.Observer))
 	// One persistent work-stealing pool serves the whole run: PLI
 	// prewarm, pair sampling, and every validation level. Workers park
 	// between batches instead of respawning per level.
 	if workers := opts.effectiveWorkers(); workers > 1 {
 		d.pool = wsteal.New(workers)
-		defer d.pool.Close()
 		d.workersSpawned = int64(workers)
 	}
 	if err := d.buildPLIs(sub); err != nil {
-		return nil, err
+		d.close()
+		return nil, nil, err
 	}
+	return d, nil, nil
+}
 
-	// Positive cover starts at the most general hypothesis: every
-	// attribute is constant (∅ → A for all A).
-	empty := bitset.New(n)
-	for a := 0; a < n; a++ {
-		d.tree.Add(empty, a)
+// close stops the worker pool and reports the run's work counters.
+func (d *discoverer) close() {
+	if d.pool != nil {
+		d.pool.Close()
 	}
+	d.flushCounters(observe.Or(d.opts.Observer))
+}
 
-	smp, err := newSampler(enc, d.handles)
-	if err != nil {
-		return nil, err
-	}
-	d.sampler = smp
-	rounds := opts.sampleRounds
-	if rounds == 0 {
-		rounds = 3
-	}
-	if err := d.sampleAndInduct(rounds); err != nil {
-		return nil, err
-	}
+// finish validates the seeded tree and returns its minimal cover,
+// aggregated by left-hand side and deterministically sorted.
+func (d *discoverer) finish() (*fd.Set, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-
-	return Minimize(d.tree.ToSet()).Aggregate().Sort(), nil
+	return minimize(d.tree.ToSet()).Aggregate().Sort(), nil
 }
 
-// Minimize drops FDs that have a generalization in the same set. The
+// minimize drops FDs that have a generalization in the same set. The
 // induction phase inserts candidates after a generalization check only
 // (no specialization eviction, matching HyFD), so a valid specialization
 // can survive next to its later-inserted valid generalization; this
-// final linear pass restores exact minimality. Exported for the delta
-// plane (internal/delta), whose re-specialized tree needs the same
-// finishing pass to reproduce HyFD's canonical minimal cover.
-func Minimize(s *fd.Set) *fd.Set {
+// final linear pass restores exact minimality.
+func minimize(s *fd.Set) *fd.Set {
 	s.Sort() // ascending LHS size: generalizations come first
 	tries := make([]settrie.Trie, s.NumAttrs)
 	out := fd.NewSet(s.NumAttrs)
@@ -234,13 +308,21 @@ type discoverer struct {
 	tree    *fd.Tree
 	tr      *budget.Tracker
 	handles []*plistore.Handle // per-attribute partitions, shared by workers
-	sampler *sampler
+	sampler *sampler           // nil when revalidating
 	opts    Options
 	ix      *pli.Intersector   // arena scratch of the serial validation path
 	pool    *wsteal.Pool       // nil on the serial path
 	wixs    []*pli.Intersector // per-worker-slot arena intersectors
 	full    *bitset.Set        // constant {0..n-1}, source for outside
 	outside *bitset.Set        // induct's reusable ¬agree scratch
+
+	// Revalidation state (see Revalidate); seeds is nil when
+	// discovering from scratch. seeds holds each seed LHS's RHS
+	// attributes not yet refuted; demoted counts the refuted ones.
+	firstNew   int
+	maxDemoted int64
+	seeds      map[string]*bitset.Set
+	demoted    int64
 
 	// Work counters, flushed to the observer when discovery returns.
 	// The atomics are shared with the parallel validation workers; the
@@ -359,7 +441,8 @@ func (d *discoverer) sampleAndInduct(rounds int) error {
 // Every insert is charged against the budget tracker — this is the loop
 // where the positive cover (and with it the memory footprint) explodes
 // on pathological inputs, so the ceiling is enforced right here. A trip
-// aborts induction with the *budget.Exceeded error.
+// aborts induction with the *budget.Exceeded error. When revalidating,
+// every removal of a seed FD is counted as a demotion.
 func (d *discoverer) induct(agree *bitset.Set) error {
 	violated := d.tree.ViolatedBy(agree)
 	if len(violated) == 0 {
@@ -370,6 +453,14 @@ func (d *discoverer) induct(agree *bitset.Set) error {
 	outside := d.outside.CopyFrom(d.full).DifferenceWith(agree)
 	for _, v := range violated {
 		d.tree.RemoveRhs(v.Lhs, v.Rhs)
+		if d.seeds != nil {
+			if seed, ok := d.seeds[v.Lhs.Key()]; ok {
+				if rm := seed.Intersect(v.Rhs).Cardinality(); rm > 0 {
+					d.demoted += int64(rm)
+					seed.DifferenceWith(v.Rhs)
+				}
+			}
+		}
 		if v.Lhs.Cardinality() >= d.maxLhs {
 			continue
 		}
@@ -435,7 +526,9 @@ type verdict struct {
 // the sweep terminates at maxLhs (or when the tree has no deeper
 // level). A level with a high violation ratio triggers another sampling
 // round first — the HyFD switching heuristic: sampling prunes many
-// candidates per comparison, validation proves the survivors.
+// candidates per comparison, validation proves the survivors. A
+// revalidation has no sampler; it stops with ErrTooManyDemoted once its
+// demotions pass the cap.
 func (d *discoverer) validate() error {
 	const switchRatio = 0.1
 	for level := 0; level <= d.tree.MaxLevel() && level <= d.maxLhs; level++ {
@@ -482,6 +575,12 @@ func (d *discoverer) validate() error {
 		}
 		if d.canceled() {
 			return d.ctx.Err()
+		}
+		if d.seeds != nil {
+			if d.maxDemoted >= 0 && d.demoted > d.maxDemoted {
+				return ErrTooManyDemoted
+			}
+			continue
 		}
 		// Switching heuristic: if validation found mostly garbage,
 		// cheaper sampling likely prunes the next levels better.
@@ -554,9 +653,10 @@ func (d *discoverer) slotIntersectors() []*pli.Intersector {
 func (d *discoverer) checkOne(c candidate, ix *pli.Intersector) (verdict, error) {
 	// One candidate per (LHS, RHS attribute) pair — the unit every
 	// discovery algorithm reports, so counters compare across them.
-	d.candidatesChecked.Add(int64(c.rhs.Cardinality()))
+	checked := int64(c.rhs.Cardinality())
 	v := verdict{cand: c}
 	if c.lhs.IsEmpty() {
+		d.candidatesChecked.Add(checked)
 		// ∅ → A means column A is constant.
 		c.rhs.ForEach(func(a int) bool {
 			if d.enc.Cardinality[a] != 1 {
@@ -577,6 +677,10 @@ func (d *discoverer) checkOne(c candidate, ix *pli.Intersector) (verdict, error)
 		return v, err
 	}
 	defer release()
+	if p == nil {
+		return v, nil // revalidating: no agreeing pair has an appended row
+	}
+	d.candidatesChecked.Add(checked)
 	c.rhs.ForEach(func(a int) bool {
 		if r1, r2 := p.FirstViolation(d.enc.Columns[a]); r1 >= 0 {
 			if v.invalid == nil {
@@ -622,6 +726,12 @@ func (d *discoverer) validationOrder(lhs *bitset.Set) []int {
 // acquired handles stay pinned until the returned release is called —
 // the candidate's partition chain (including arena-backed results that
 // borrow the first operand) must be fully consumed before then.
+//
+// When revalidating, only clusters holding a row at or after firstNew
+// are kept after every step: any two rows agreeing on the LHS share a
+// cluster of every partition on the way, and a pair of older rows
+// cannot violate a candidate. A nil partition (with a non-nil release)
+// means no cluster survived, so the candidate holds.
 func (d *discoverer) pliFor(lhs *bitset.Set, ix *pli.Intersector) (*pli.PLI, func(), error) {
 	attrs := d.validationOrder(lhs)
 	acquired := make([]*plistore.Handle, 0, len(attrs))
@@ -636,6 +746,9 @@ func (d *discoverer) pliFor(lhs *bitset.Set, ix *pli.Intersector) (*pli.PLI, fun
 		return nil, nil, err
 	}
 	acquired = append(acquired, h0)
+	if d.firstNew > 0 {
+		p = d.touched(p)
+	}
 	for _, a := range attrs[1:] {
 		if p.IsUnique() {
 			break
@@ -649,6 +762,53 @@ func (d *discoverer) pliFor(lhs *bitset.Set, ix *pli.Intersector) (*pli.PLI, fun
 		acquired = append(acquired, h)
 		p = ix.IntersectInverted(p, pa.Inverted())
 		d.plisIntersected.Add(1)
+		if d.firstNew > 0 {
+			p = d.dropOldOnly(p)
+		}
+	}
+	if d.firstNew > 0 && p.IsUnique() {
+		return nil, release, nil
 	}
 	return p, release, nil
+}
+
+// touched returns the clusters of a single-column partition that hold a
+// row at or after firstNew, found through the appended rows' entries in
+// the inverted index. An appended row stripped as a singleton agrees
+// with no other row and needs no cluster.
+func (d *discoverer) touched(p *pli.PLI) *pli.PLI {
+	inv := p.Inverted()
+	var ids []int
+	for r := d.firstNew; r < d.enc.NumRows; r++ {
+		if id := inv[r]; id >= 0 {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	all := p.Clusters()
+	keep := make([][]int, 0, len(ids))
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			keep = append(keep, all[id])
+		}
+	}
+	return pli.FromClusters(d.enc.NumRows, keep)
+}
+
+// dropOldOnly strips the clusters made up entirely of rows before
+// firstNew. Rows stay ascending within a cluster through every
+// intersection, so a cluster holds an appended row iff its last row is
+// one.
+func (d *discoverer) dropOldOnly(p *pli.PLI) *pli.PLI {
+	clusters := p.Clusters()
+	keep := make([][]int, 0, len(clusters))
+	for _, c := range clusters {
+		if c[len(c)-1] >= d.firstNew {
+			keep = append(keep, c)
+		}
+	}
+	if len(keep) == len(clusters) {
+		return p
+	}
+	return pli.FromClusters(p.NumRows(), keep)
 }

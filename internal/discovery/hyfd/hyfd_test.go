@@ -150,8 +150,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 5; trial++ {
 		rel := randomRelation(r, 8, 100, 3)
-		seq := Discover(rel, Options{})
-		par := Discover(rel, Options{Parallel: true})
+		seq := Discover(rel, Options{Workers: 1})
+		par := Discover(rel, Options{})
 		if !seq.Equal(par) {
 			t.Fatalf("trial %d: parallel result differs", trial)
 		}

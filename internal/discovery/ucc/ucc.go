@@ -8,11 +8,10 @@
 // minimality pruning over a set-trie — is entirely sufficient, and is
 // what this package implements.
 //
-// DiscoverContext and DiscoverHybridContext support cancellation: the
-// lattice and validation loops poll the context and return ctx.Err()
-// promptly. Work counters are reported to Options.Observer under the
-// primary-key-selection stage (the pipeline component this package
-// serves).
+// DiscoverContext supports cancellation: the lattice loop polls the
+// context and returns ctx.Err() promptly. Work counters are reported to
+// Options.Observer under the primary-key-selection stage (the pipeline
+// component this package serves).
 package ucc
 
 import (
@@ -26,19 +25,12 @@ import (
 	"normalize/internal/plistore"
 	"normalize/internal/relation"
 	"normalize/internal/settrie"
-	"normalize/internal/wsteal"
 )
 
 // Options configures discovery.
 type Options struct {
 	// MaxSize bounds the size of reported UCCs; 0 means unbounded.
 	MaxSize int
-	// Workers bounds the validation worker pool of the hybrid discovery
-	// (DiscoverHybrid): 0 or 1 validates serially, N > 1 uses exactly N
-	// workers. Verdicts are merged in candidate order, so every worker
-	// count produces identical results. The level-wise Discover is
-	// unaffected.
-	Workers int
 	// Substrate, when non-nil, supplies the pre-built dictionary
 	// encoding and single-column PLIs of the relation (see
 	// internal/plicache), sharing one build across pipeline stages. It
@@ -54,15 +46,6 @@ type Options struct {
 	Budget *budget.Tracker
 }
 
-// effectiveWorkers resolves the hybrid validation worker count,
-// clamped to the host's CPUs.
-func (o Options) effectiveWorkers() int {
-	if o.Workers > 1 {
-		return wsteal.ClampWorkers(o.Workers)
-	}
-	return 1
-}
-
 type node struct {
 	attrs []int
 	set   *bitset.Set
@@ -74,8 +57,6 @@ type node struct {
 type counters struct {
 	plisIntersected int64
 	uccsFound       int64
-	workersSpawned  int64
-	steals          int64
 }
 
 func (c *counters) flush(obs observe.Observer) {
@@ -84,12 +65,6 @@ func (c *counters) flush(obs observe.Observer) {
 	}
 	if c.uccsFound != 0 {
 		obs.Counter(observe.PrimaryKey, observe.CounterUCCsDiscovered, c.uccsFound)
-	}
-	if c.workersSpawned != 0 {
-		obs.Counter(observe.PrimaryKey, observe.CounterValidationWorkers, c.workersSpawned)
-	}
-	if c.steals != 0 {
-		obs.Counter(observe.PrimaryKey, observe.CounterValidationSteals, c.steals)
 	}
 }
 

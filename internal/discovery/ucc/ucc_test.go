@@ -1,12 +1,14 @@
 package ucc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"normalize/internal/bitset"
 	"normalize/internal/discovery/bruteforce"
+	"normalize/internal/plicache"
 	"normalize/internal/relation"
 )
 
@@ -138,59 +140,33 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestHybridMatchesLevelwise(t *testing.T) {
-	r := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 40; trial++ {
-		attrs := 2 + r.Intn(5)
-		rows := 3 + r.Intn(40)
-		card := 2 + r.Intn(4)
+// TestSubstrateEquivalence: a pre-built shared substrate must not
+// change the result or its order.
+func TestSubstrateEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 8; trial++ {
+		attrs, rows, card := 4+r.Intn(4), 20+r.Intn(60), 2+r.Intn(3)
 		names := make([]string, attrs)
 		for i := range names {
 			names[i] = fmt.Sprintf("c%d", i)
 		}
 		data := make([][]string, rows)
 		for i := range data {
-			row := make([]string, attrs)
-			for j := range row {
-				row[j] = fmt.Sprintf("v%d", r.Intn(card))
+			data[i] = make([]string, attrs)
+			for j := range data[i] {
+				data[i][j] = fmt.Sprintf("v%d", r.Intn(card))
 			}
-			data[i] = row
 		}
 		rel := relation.MustNew("rand", names, data)
-		lw := keysOf(Discover(rel, Options{}))
-		hy := keysOf(DiscoverHybrid(rel, Options{}))
-		if len(lw) != len(hy) {
-			t.Fatalf("trial %d: levelwise %v vs hybrid %v", trial, lw, hy)
+		sub, err := plicache.Build(context.Background(), rel)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range lw {
-			if !hy[k] {
-				t.Fatalf("trial %d: hybrid missing %s", trial, k)
-			}
+		own := fmt.Sprint(Discover(rel, Options{}))
+		shared := fmt.Sprint(Discover(rel, Options{Substrate: sub}))
+		if own != shared {
+			t.Fatalf("trial %d: substrate-backed UCCs %s, own build %s", trial, shared, own)
 		}
-	}
-}
-
-func TestHybridEdgeCases(t *testing.T) {
-	empty := relation.MustNew("r", []string{"a"}, nil)
-	got := DiscoverHybrid(empty, Options{})
-	if len(got) != 1 || !got[0].IsEmpty() {
-		t.Errorf("empty relation: %v", keysOf(got))
-	}
-	dup := relation.MustNew("r", []string{"a", "b"}, [][]string{
-		{"x", "y"}, {"x", "y"},
-	})
-	if got := DiscoverHybrid(dup, Options{}); len(got) != 0 {
-		t.Errorf("duplicated rows cannot have a UCC: %v", keysOf(got))
-	}
-}
-
-func TestHybridMaxSize(t *testing.T) {
-	rel := relation.MustNew("r", []string{"a", "b", "c"}, [][]string{
-		{"0", "0", "0"}, {"0", "0", "1"}, {"0", "1", "0"}, {"1", "0", "0"},
-		{"0", "1", "1"}, {"1", "0", "1"}, {"1", "1", "0"}, {"1", "1", "1"},
-	})
-	if got := DiscoverHybrid(rel, Options{MaxSize: 2}); len(got) != 0 {
-		t.Errorf("MaxSize=2 must suppress the 3-attribute key, got %v", keysOf(got))
 	}
 }
 

@@ -83,7 +83,7 @@ func RunTable3Row(ctx context.Context, spec Spec) (Table3Row, error) {
 	row := Table3Row{Name: spec.Name, Attrs: rel.NumAttrs(), Records: rel.NumRows()}
 
 	start := time.Now()
-	fds, err := hyfd.DiscoverContext(ctx, rel, hyfd.Options{MaxLhs: spec.MaxLhs, Parallel: true})
+	fds, err := hyfd.DiscoverContext(ctx, rel, hyfd.Options{MaxLhs: spec.MaxLhs})
 	if err != nil {
 		return row, err
 	}
@@ -173,7 +173,7 @@ func RunNaiveComparison(ctx context.Context, spec Spec, sampleFDs int) (NaiveRow
 	if err != nil {
 		return NaiveRow{Name: spec.Name}, err
 	}
-	fds, err := hyfd.DiscoverContext(ctx, ds.Denormalized, hyfd.Options{MaxLhs: spec.MaxLhs, Parallel: true})
+	fds, err := hyfd.DiscoverContext(ctx, ds.Denormalized, hyfd.Options{MaxLhs: spec.MaxLhs})
 	if err != nil {
 		return NaiveRow{Name: spec.Name}, err
 	}
@@ -248,7 +248,7 @@ func RunFigure2(ctx context.Context, steps int) ([]Figure2Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	full, err := hyfd.DiscoverContext(ctx, ds.Denormalized, hyfd.Options{Parallel: true})
+	full, err := hyfd.DiscoverContext(ctx, ds.Denormalized, hyfd.Options{})
 	if err != nil {
 		return nil, err
 	}

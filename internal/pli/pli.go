@@ -295,7 +295,7 @@ type arena struct {
 // callers must not retain it, mutate it, or call Inverted on it. That
 // covers the validation pattern — intersect a chain most-selective-first,
 // inspect the final product, move to the next candidate — which is why
-// HyFD, HyUCC, delta revalidation, and the score index use it. Callers
+// HyFD (from scratch and revalidating) and the score index use it. Callers
 // that keep partitions across candidates (TANE's level-wise refinement)
 // must use a zero-value Intersector instead.
 func NewArenaIntersector() *Intersector {

@@ -2,8 +2,8 @@
 // normalization pipeline: one dictionary encoding plus lazily-built
 // single-column PLIs (with their cached inverted indexes) per relation
 // instance, built once and reused by every component that profiles the
-// same data — FD discovery (HyFD, TANE), UCC discovery (level-wise and
-// HyUCC), 4NF refinement, and per-table primary-key selection.
+// same data — FD discovery (HyFD, TANE), UCC discovery, 4NF
+// refinement, and per-table primary-key selection.
 //
 // Before this package each of those stages called rel.Encode() and
 // rebuilt the per-attribute PLIs from scratch; the paper's own

@@ -284,7 +284,7 @@ func (h *Handle) decode() (*pli.PLI, error) {
 
 // decodedBytes approximates the flat footprint: the shared row slab,
 // cluster headers, and — for single-column partitions, whose consumers
-// (HyFD, HyUCC) always build the inverted index — the row → cluster
+// (HyFD) always build the inverted index — the row → cluster
 // index.
 func (h *Handle) decodedBytes() int64 {
 	b := 8*int64(h.size) + 24*int64(h.nclusters) + 96

@@ -1,6 +1,6 @@
 // Package wsteal provides a work-stealing scheduler for index-addressed
 // task batches, built for the level-wise candidate validation loops of
-// dependency discovery (HyFD, HyUCC, delta revalidation).
+// dependency discovery (HyFD, from scratch and revalidating).
 //
 // The previous generation of those loops spawned a fresh goroutine pool
 // per lattice level and fed it one candidate at a time through a
