@@ -493,7 +493,7 @@ func redundantCSV(rows int) []byte {
 }
 
 // BenchmarkIngest compares the streaming columnar reader against the
-// legacy path (ReadCSV into [][]string rows, then dictionary-encode)
+// legacy path (ReadCSV into [][]string rows, dictionary-encoded by New)
 // on the same bytes — both ends produce the identical substrate, so
 // the delta is pure read-path cost. SetBytes reports MB/s; -benchmem
 // allocations divide by the logged row count for allocs/row.
@@ -526,11 +526,9 @@ func BenchmarkIngest(b *testing.B) {
 				b.SetBytes(int64(len(in.data)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rel, err := relation.ReadCSV(in.name, bytes.NewReader(in.data))
-					if err != nil {
+					if _, err := relation.ReadCSV(in.name, bytes.NewReader(in.data)); err != nil {
 						b.Fatal(err)
 					}
-					rel.Columnarize()
 				}
 			})
 			for _, w := range []int{1, 4} {

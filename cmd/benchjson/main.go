@@ -5,24 +5,29 @@
 //
 //	go test -bench=. -benchmem -run '^$' ./internal/server/ | go run ./cmd/benchjson
 //
-// The output is an object with the detected goos/goarch/pkg header
+// The output is an object with the detected goos/goarch/cpu header
 // fields and a "benchmarks" array; each entry carries the benchmark
-// name (parallelism suffix stripped into "procs"), iteration count,
-// and the standard ns/op, B/op, allocs/op, and MB/s metrics when
-// present.
+// name (parallelism suffix stripped into "procs"), the package it ran
+// in, iteration count, and the standard ns/op, B/op, allocs/op, and
+// MB/s metrics when present.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 )
 
 type benchmark struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the package of the most recent "pkg:" line before the
+	// result; one go test run over several packages prints one per
+	// package.
+	Pkg         string  `json:"pkg,omitempty"`
 	Procs       int     `json:"procs,omitempty"`
 	Runs        int64   `json:"runs"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -38,14 +43,30 @@ type benchmark struct {
 type report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
 
 func main() {
+	rep, err := read(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// read parses go test -bench output into a report, tagging every
+// benchmark with its package.
+func read(r io.Reader) (report, error) {
 	rep := report{Benchmarks: []benchmark{}}
-	sc := bufio.NewScanner(os.Stdin)
+	pkg := ""
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -55,27 +76,22 @@ func main() {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBenchLine(line); ok {
+				b.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return report{}, err
 	}
 	stripProcsSuffix(rep.Benchmarks)
 	deriveWorkerSpeedups(rep.Benchmarks)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
+	return rep, nil
 }
 
 // stripProcsSuffix removes the GOMAXPROCS suffix go test appends to
@@ -111,12 +127,12 @@ func stripProcsSuffix(benchmarks []benchmark) {
 }
 
 // deriveWorkerSpeedups attaches a "speedup_vs_1w" metric to every
-// entry of a worker-count series — benchmarks named ".../workers-N" —
-// relating its ns/op to the workers-1 entry of the same series. With
-// -count > 1 a series holds repeated entries per worker count; the
-// baseline is the mean ns/op of all its workers-1 entries, so the
-// derived field stays stable across repetition counts. Entries without
-// a workers-1 sibling are left untouched.
+// entry of a worker-count series — benchmarks of one package named
+// ".../workers-N" — relating its ns/op to the workers-1 entry of the
+// same series. With -count > 1 a series holds repeated entries per
+// worker count; the baseline is the mean ns/op of all its workers-1
+// entries, so the derived field stays stable across repetition counts.
+// Entries without a workers-1 sibling are left untouched.
 func deriveWorkerSpeedups(benchmarks []benchmark) {
 	const marker = "/workers-"
 	base := make(map[string]struct {
@@ -128,10 +144,11 @@ func deriveWorkerSpeedups(benchmarks []benchmark) {
 		if i < 0 || b.Name[i+len(marker):] != "1" {
 			continue
 		}
-		agg := base[b.Name[:i]]
+		series := b.Pkg + " " + b.Name[:i]
+		agg := base[series]
 		agg.sum += b.NsPerOp
 		agg.n++
-		base[b.Name[:i]] = agg
+		base[series] = agg
 	}
 	for i := range benchmarks {
 		b := &benchmarks[i]
@@ -142,7 +159,7 @@ func deriveWorkerSpeedups(benchmarks []benchmark) {
 		if _, err := strconv.Atoi(b.Name[j+len(marker):]); err != nil {
 			continue
 		}
-		agg, ok := base[b.Name[:j]]
+		agg, ok := base[b.Pkg+" "+b.Name[:j]]
 		if !ok || agg.n == 0 || b.NsPerOp <= 0 {
 			continue
 		}

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	b, ok := parseBenchLine("BenchmarkBusPublish-8   \t 1971642\t   608.5 ns/op\t 392 B/op\t  5 allocs/op")
@@ -115,5 +118,58 @@ func TestDeriveWorkerSpeedups(t *testing.T) {
 	deriveWorkerSpeedups(bs)
 	if bs[0].Metrics != nil {
 		t.Errorf("baseline-less series gained metrics: %+v", bs[0])
+	}
+}
+
+// TestReadTagsEachEntryWithItsPackage feeds one go test run over two
+// packages: every entry carries the package it ran in, not the last
+// one named, and a same-named series in each package keeps its own
+// workers-1 baseline.
+func TestReadTagsEachEntryWithItsPackage(t *testing.T) {
+	out := `goos: linux
+goarch: amd64
+pkg: normalize
+cpu: Some CPU @ 2.00GHz
+BenchmarkFigure3TPCH-2                 	       5	 300000000 ns/op
+BenchmarkSeries/workers-1-2            	       5	      1000 ns/op
+BenchmarkSeries/workers-2-2            	       5	       500 ns/op
+PASS
+ok  	normalize	12.3s
+goos: linux
+goarch: amd64
+pkg: normalize/internal/plistore
+cpu: Some CPU @ 2.00GHz
+BenchmarkStoreRoundTrip-2              	     100	     20000 ns/op
+BenchmarkSeries/workers-1-2            	       5	      3000 ns/op
+BenchmarkSeries/workers-2-2            	       5	      1000 ns/op
+PASS
+ok  	normalize/internal/plistore	4.5s
+`
+	rep, err := read(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name, pkg string
+		speedup   float64
+	}{
+		{"BenchmarkFigure3TPCH", "normalize", 0},
+		{"BenchmarkSeries/workers-1", "normalize", 1},
+		{"BenchmarkSeries/workers-2", "normalize", 2},
+		{"BenchmarkStoreRoundTrip", "normalize/internal/plistore", 0},
+		{"BenchmarkSeries/workers-1", "normalize/internal/plistore", 1},
+		{"BenchmarkSeries/workers-2", "normalize/internal/plistore", 3},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("got %d entries, want %d: %+v", len(rep.Benchmarks), len(want), rep.Benchmarks)
+	}
+	for i, w := range want {
+		b := rep.Benchmarks[i]
+		if b.Name != w.name || b.Pkg != w.pkg || b.Procs != 2 || b.Metrics["speedup_vs_1w"] != w.speedup {
+			t.Errorf("entry %d = %+v, want name %s pkg %s speedup %v", i, b, w.name, w.pkg, w.speedup)
+		}
+	}
+	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.CPU != "Some CPU @ 2.00GHz" {
+		t.Errorf("header = %+v", rep)
 	}
 }

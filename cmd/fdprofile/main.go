@@ -7,10 +7,11 @@
 // With -extend the FDs are printed with transitively maximized
 // right-hand sides (the closure F⁺ of the paper's Section 4).
 //
-// Ctrl-C cancels a running profile gracefully: the process prints the
-// stage telemetry collected so far and exits with status 130. -timeout
-// bounds the profile's wall-clock time the same way (exit status 3, so
-// scripts can tell an expired budget from an interactive interrupt),
+// The input is loaded through the same streaming ingest as normalize's.
+// Ctrl-C cancels a running load or profile gracefully: the process
+// prints the stage telemetry collected so far and exits with status
+// 130. -timeout bounds the wall-clock time the same way (exit status 3,
+// so scripts can tell an expired budget from an interactive interrupt),
 // and -lenient loads malformed CSV by skipping bad rows instead of
 // aborting.
 package main
@@ -52,21 +53,6 @@ func main() {
 		defer cancel()
 	}
 
-	var rel *normalize.Relation
-	var err error
-	if *lenient {
-		var skipped []normalize.RowError
-		rel, skipped, err = normalize.ReadCSVFileLenient(flag.Arg(0))
-		for _, re := range skipped {
-			fmt.Fprintf(os.Stderr, "fdprofile: skipped %v\n", re)
-		}
-	} else {
-		rel, err = normalize.ReadCSVFile(flag.Arg(0))
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	algo := normalize.HyFD
 	switch *algoName {
 	case "hyfd":
@@ -95,6 +81,14 @@ func main() {
 		default:
 			log.Fatal(err)
 		}
+	}
+
+	rel, skipped, err := normalize.IngestCSVFile(ctx, flag.Arg(0), normalize.IngestOptions{Lenient: *lenient})
+	for _, re := range skipped {
+		fmt.Fprintf(os.Stderr, "fdprofile: skipped %v\n", re)
+	}
+	if err != nil {
+		interrupted(err)
 	}
 
 	rec.StageStart(normalize.StageDiscovery)

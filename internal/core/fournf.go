@@ -10,7 +10,6 @@ import (
 	"normalize/internal/discovery/bruteforce"
 	"normalize/internal/discovery/mvd"
 	"normalize/internal/observe"
-	"normalize/internal/plicache"
 	"normalize/internal/relation"
 )
 
@@ -111,14 +110,7 @@ func firstViolatingMVD(ctx context.Context, rel *relation.Relation, opts FourNFO
 	if n < 3 {
 		return nil, nil // no non-trivial bipartition can violate 4NF
 	}
-	// One dictionary encoding serves both the MVD discovery and the
-	// superkey checks below (previously each encoded the instance anew).
-	sub, err := plicache.Build(ctx, rel)
-	if err != nil {
-		return nil, err
-	}
-	enc := sub.Encoded()
-	mvds, err := mvd.DiscoverContext(ctx, rel, mvd.Options{MaxLhs: opts.MaxLhs, MaxAttrs: opts.MaxAttrs, Budget: opts.Budget, Encoded: enc})
+	mvds, err := mvd.DiscoverContext(ctx, rel, mvd.Options{MaxLhs: opts.MaxLhs, MaxAttrs: opts.MaxAttrs, Budget: opts.Budget})
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +119,7 @@ func firstViolatingMVD(ctx context.Context, rel *relation.Relation, opts FourNFO
 		if m.Rhs.IsEmpty() || m.Complement.IsEmpty() {
 			continue
 		}
-		if bruteforce.IsUnique(enc, m.Lhs) {
+		if bruteforce.IsUnique(rel.Encode(), m.Lhs) {
 			continue // superkey LHS: no violation
 		}
 		if nullAttrsOf(rel).Intersects(m.Lhs) {

@@ -478,7 +478,7 @@ func (p *run) decompose(ctx context.Context, root *Table, worklist []*Table, use
 			if err != nil {
 				return err // span stays open: interrupted
 			}
-			p.deriveChildSubstrates(t, r1, r2)
+			p.deriveChildSubstrates(r1, r2)
 			rows := int64(r1.Data.NumRows() + r2.Data.NumRows())
 			res.Stats.Decompositions++
 			obs.Counter(observe.Decomposition, observe.CounterDecompositions, 1)
@@ -553,25 +553,13 @@ func (p *run) flushCacheStats() {
 	}
 }
 
-// deriveChildSubstrates registers the two projections' substrates,
-// derived from the parent's integer codes, so no later stage re-encodes
-// the children's strings. Columnar children carry their encoding with
-// them (DecomposeContext derived it by code remapping), so their
-// substrates are free; a row-backed parent without a cached substrate
-// (custom discovery skipped the build) simply leaves the children to
-// build their own on first use.
-func (p *run) deriveChildSubstrates(t, r1, r2 *Table) {
-	ps := p.cache.Lookup(t.Data)
+// deriveChildSubstrates registers the two projections' substrates.
+// DecomposeContext derived the children's encodings from the parent's
+// integer codes, so their substrates are free and no later stage
+// re-encodes the children's strings.
+func (p *run) deriveChildSubstrates(r1, r2 *Table) {
 	for _, child := range []*Table{r1, r2} {
-		if c := child.Data.Columnar(); c != nil {
-			p.cache.PutDerived(child.Data, plicache.New(c.Enc))
-			continue
-		}
-		if ps == nil {
-			continue
-		}
-		cols := t.localSet(child.Attrs).Elements()
-		p.cache.PutDerived(child.Data, ps.ProjectDedup(cols))
+		p.cache.PutDerived(child.Data, plicache.New(child.Data.Encode()))
 	}
 }
 
@@ -622,7 +610,7 @@ func (p *run) discoverFDs(ctx context.Context, rel *relation.Relation) (*fd.Set,
 				fds = p.opts.Discover(rel)
 			default:
 				var sub *plicache.Substrate
-				if sub, derr = p.cache.ForWorkers(ctx, rel, p.opts.Workers); derr == nil {
+				if sub, derr = p.cache.For(ctx, rel); derr == nil {
 					fds, derr = hyfd.DiscoverContext(ctx, rel, hyfd.Options{
 						MaxLhs: maxLhs, Workers: p.opts.Workers,
 						Substrate: sub,
@@ -738,20 +726,10 @@ func (p *run) buildRoot(rel *relation.Relation, fds *fd.Set) *Table {
 			nullAttrs.Add(c)
 		}
 	}
-	// Derive the deduped root's substrate from rel's (built by FD
-	// discovery) before DedupCopy re-reads the rows: the derivation
-	// reads only the already-encoded integer columns. A columnar rel
-	// carries its encoding with it, so the dedup copy IS the substrate.
+	// The dedup copy's encoding is derived from rel's integer codes, so
+	// it is the root's substrate as it stands.
 	data := rel.DedupCopy(rel.Name)
-	if c := data.Columnar(); c != nil {
-		p.cache.PutDerived(data, plicache.New(c.Enc))
-	} else if ps := p.cache.Lookup(rel); ps != nil {
-		cols := make([]int, n)
-		for i := range cols {
-			cols[i] = i
-		}
-		p.cache.PutDerived(data, ps.ProjectDedup(cols))
-	}
+	p.cache.PutDerived(data, plicache.New(data.Encode()))
 	return &Table{
 		Name:        rel.Name,
 		Attrs:       bitset.Full(n),

@@ -236,6 +236,6 @@ func MusicBrainz(artists int, seed int64) (*Dataset, error) {
 			area, artist, credit, acn, label, group, release, releaseLabel,
 			medium, track, place,
 		},
-		Denormalized: denorm.Columnarize(),
+		Denormalized: denorm,
 	}, nil
 }

@@ -33,9 +33,7 @@ func build(name string, rows int, seed int64, cols []col) *relation.Relation {
 		}
 		data[i] = vals
 	}
-	// The normalizer consumes the columnar substrate directly; encode
-	// once here and let row views materialize only if asked for.
-	return relation.MustNew(name, attrs, data).Columnarize()
+	return relation.MustNew(name, attrs, data)
 }
 
 // Generator primitives.

@@ -201,6 +201,6 @@ func TPCH(sf float64, seed int64) (*Dataset, error) {
 		Original: []*relation.Relation{
 			region, nation, supplier, part, partsupp, customer, orders, lineitem,
 		},
-		Denormalized: denorm.Columnarize(),
+		Denormalized: denorm,
 	}, nil
 }

@@ -81,14 +81,10 @@ type Stats struct {
 // columnar backing that extends the base's encoding: appended values
 // are coded against the base dictionaries in first-appearance order, so
 // the result is byte-identical to a fresh ingest of the concatenation
-// and its PLIs can be extended instead of rebuilt. A row-backed base is
-// columnarized first. The base relation is left untouched.
+// and its PLIs can be extended instead of rebuilt. The base relation is
+// left untouched.
 func AppendRelation(base *relation.Relation, rows [][]string) (*relation.Relation, error) {
-	col := base.Columnar()
-	if col == nil {
-		col = base.Columnarize().Columnar()
-	}
-	grown, err := col.Append(rows)
+	grown, err := base.Columnar().Append(rows)
 	if err != nil {
 		return nil, fmt.Errorf("delta: append to %s: %w", base.Name, err)
 	}
@@ -120,20 +116,12 @@ func Normalize(ctx context.Context, base *relation.Relation, rows [][]string, pa
 		return nil, nil, fmt.Errorf("delta: base has %d attributes, parent cover %d", n, parent.Cover.NumAttrs)
 	}
 
-	baseCol := base.Columnar()
-	if baseCol == nil {
-		baseCol = base.Columnarize().Columnar()
-	}
-	combinedCol, err := baseCol.Append(rows)
-	if err != nil {
-		return nil, nil, fmt.Errorf("delta: append to %s: %w", base.Name, err)
-	}
-	combined, err := relation.NewColumnar(base.Name, base.Attrs, combinedCol)
+	combined, err := AppendRelation(base, rows)
 	if err != nil {
 		return nil, nil, err
 	}
-	baseRows := baseCol.Enc.NumRows
-	sub := plicache.Extend(plicache.New(baseCol.Enc), combinedCol.Enc)
+	baseRows := base.NumRows()
+	sub := plicache.Extend(plicache.New(base.Encode()), combined.Encode())
 
 	stats := &Stats{DeltaRows: len(rows)}
 	frac := cfg.FallbackFraction
@@ -146,7 +134,7 @@ func Normalize(ctx context.Context, base *relation.Relation, rows [][]string, pa
 	}
 
 	opts := cfg.Options
-	opts.ScoreSeed = maintainMemo(parent.ScoreMemo, combinedCol, sub, baseRows)
+	opts.ScoreSeed = maintainMemo(parent.ScoreMemo, combined.Columnar(), sub, baseRows)
 	obs := observe.Or(opts.Observer)
 	opts.DiscoverContext = func(dctx context.Context, rel *relation.Relation) (*fd.Set, error) {
 		hopts := hyfd.Options{MaxLhs: opts.MaxLhs, Workers: opts.Workers, Observer: opts.Observer}

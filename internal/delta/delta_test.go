@@ -274,7 +274,7 @@ func TestAppendRelationMatchesFreshIngest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		fresh := rel.Columnarize().Columnar()
+		fresh := rel.Columnar()
 		got := grown.Columnar()
 		if !reflect.DeepEqual(fresh.Enc.Columns, got.Enc.Columns) {
 			t.Fatalf("trial %d: codes diverge from fresh ingest", trial)

@@ -76,15 +76,9 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 		return result, nil
 	}
 	sub := opts.Substrate
-	var enc *relation.Encoded
+	enc := rel.Encode()
 	if sub != nil {
 		enc = sub.Encoded()
-	} else {
-		var err error
-		enc, err = rel.EncodeContext(ctx)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if enc.NumRows == 0 {
 		result.Add(bitset.New(n), bitset.Full(n))

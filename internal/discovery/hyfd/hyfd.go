@@ -205,14 +205,7 @@ func newDiscoverer(ctx context.Context, rel *relation.Relation, opts Options) (*
 	}
 	sub := opts.Substrate
 	if sub == nil {
-		// A missing substrate is built here with the run's worker hint:
-		// the dictionary encode rides the sharded interner row-parallel,
-		// producing the identical encoding at every worker count.
-		var err error
-		sub, err = plicache.BuildWorkers(ctx, rel, opts.effectiveWorkers())
-		if err != nil {
-			return nil, nil, err
-		}
+		sub = plicache.New(rel.Encode())
 	}
 	enc := sub.Encoded()
 	// The dictionary-encoded input is the first retained structure; a

@@ -110,11 +110,6 @@ type Options struct {
 	// indexes against run-wide ceilings; a trip aborts discovery with a
 	// *budget.Exceeded error.
 	Budget *budget.Tracker
-	// Encoded, when non-nil, supplies the pre-built dictionary encoding
-	// of the relation (it must describe exactly rel), so callers that
-	// already encoded the instance — e.g. the 4NF refinement's shared
-	// substrate — avoid a second encode.
-	Encoded *relation.Encoded
 }
 
 // Discover returns all non-trivial MVDs X ↠ Y | Z of the relation with
@@ -145,14 +140,7 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 	if maxLhs <= 0 || maxLhs > n {
 		maxLhs = n
 	}
-	enc := opts.Encoded
-	if enc == nil {
-		var err error
-		enc, err = rel.EncodeContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-	}
+	enc := rel.Encode()
 	done := ctx.Done()
 	var out []*MVD
 	var tripped error

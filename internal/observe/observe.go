@@ -79,8 +79,9 @@ const (
 	// load was skewed enough that idle workers rebalanced it.
 	CounterValidationSteals = "validation_steals"
 	// CounterSubstrateBuilds/-Derived/-Hits report the shared PLI/
-	// encoding substrate cache: full dictionary encodes, code-level
-	// projection derivations, and lookups served from the cache.
+	// encoding substrate cache: substrates made on a lookup miss,
+	// registered code-level derivations, and lookups served from the
+	// cache.
 	CounterSubstrateBuilds  = "substrate_builds"
 	CounterSubstrateDerived = "substrate_derived"
 	CounterSubstrateHits    = "substrate_hits"

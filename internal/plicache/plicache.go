@@ -5,20 +5,20 @@
 // same data — FD discovery (HyFD, TANE), UCC discovery, 4NF
 // refinement, and per-table primary-key selection.
 //
-// Before this package each of those stages called rel.Encode() and
-// rebuilt the per-attribute PLIs from scratch; the paper's own
-// profiling (Sections 6 and 8) identifies exactly this PLI work as the
-// dominant cost of validation-heavy discovery. A Cache deduplicates the
-// build two ways: by relation identity (the common case inside one
-// pipeline run) and by a content key over the instance (attribute names
-// plus rows, independent of the relation's name), so two tables holding
-// identical data share one substrate.
+// Without this package each of those stages would rebuild the
+// per-attribute PLIs from scratch; the paper's own profiling (Sections
+// 6 and 8) identifies exactly this PLI work as the dominant cost of
+// validation-heavy discovery. A Cache deduplicates the build two ways:
+// by relation identity (the common case inside one pipeline run) and by
+// a content key over the instance (attribute names plus rows,
+// independent of the relation's name), so two tables holding identical
+// data share one substrate.
 //
-// Projections avoid string re-encoding entirely: ProjectDedup derives a
-// child substrate from the parent's integer codes — project, dedup on
-// the code tuples, densify codes in first-appearance order — which is
-// observably identical to encoding the materialized child relation,
-// without hashing a single string.
+// The encoding itself is the relation's own backing, so wrapping it is
+// free. Projections avoid string re-encoding entirely:
+// relation.ProjectDedup derives a child's encoding from the parent's
+// integer codes, and the pipeline registers a substrate over it
+// (PutDerived).
 package plicache
 
 import (
@@ -73,23 +73,13 @@ func New(enc *relation.Encoded) *Substrate {
 	}
 }
 
-// Build encodes rel and wraps it; the encoding polls ctx like
-// relation.EncodeContext. A columnar-backed relation is already
-// encoded, so its substrate is free.
+// Build wraps rel's encoding, which the relation already carries, so
+// the substrate is free; it fails only when ctx has ended.
 func Build(ctx context.Context, rel *relation.Relation) (*Substrate, error) {
-	return BuildWorkers(ctx, rel, 1)
-}
-
-// BuildWorkers is Build with a worker hint: a large row-backed
-// relation is encoded row-parallel on the sharded lock-free interner
-// (relation.EncodeParallelContext), which produces byte-identical
-// encodings at every worker count. workers <= 1 is exactly Build.
-func BuildWorkers(ctx context.Context, rel *relation.Relation, workers int) (*Substrate, error) {
-	enc, err := rel.EncodeParallelContext(ctx, workers)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return New(enc), nil
+	return New(rel.Encode()), nil
 }
 
 // Extend wraps the encoding of a relation that grew by appended rows,
@@ -209,22 +199,6 @@ func (s *Substrate) PLIs() []*pli.PLI {
 	return out
 }
 
-// ProjectDedup derives the substrate of the relation obtained by
-// projecting the parent onto cols (in the given order) and removing
-// duplicate rows, keeping first occurrences — the exact semantics of
-// relation.Project followed by Dedup. The derivation works purely on
-// the parent's integer codes: codes are densified in first-appearance
-// order over the surviving rows, so the result is indistinguishable
-// from encoding the materialized child relation, at integer-remap cost
-// instead of string-hashing cost.
-func (s *Substrate) ProjectDedup(cols []int) *Substrate {
-	keep := s.enc.DedupKeep(cols)
-	child, _ := s.enc.Select(cols, keep)
-	cs := New(child)
-	cs.store = s.store // decomposition children share the run's store
-	return cs
-}
-
 // Cache deduplicates substrate builds across the tables of one
 // pipeline run. Lookup is two-tier: relation identity first (the
 // common case — every stage profiles the same *relation.Relation), then
@@ -237,7 +211,7 @@ type Cache struct {
 	byKey map[[sha256.Size]byte]*Substrate
 	store *plistore.Store
 
-	builds  atomic.Int64 // full encodes
+	builds  atomic.Int64 // substrates made on a lookup miss
 	derives atomic.Int64 // code-level projection derivations
 	hits    atomic.Int64 // lookups served from the cache
 }
@@ -267,15 +241,8 @@ func NewCache() *Cache {
 // cache builds an uncached substrate each call, so callers can thread
 // an optional cache unconditionally.
 func (c *Cache) For(ctx context.Context, rel *relation.Relation) (*Substrate, error) {
-	return c.ForWorkers(ctx, rel, 1)
-}
-
-// ForWorkers is For with a worker hint threaded through to the encode
-// on a cache miss (see BuildWorkers); hits are unaffected, and the
-// cached substrate is identical at every worker count.
-func (c *Cache) ForWorkers(ctx context.Context, rel *relation.Relation, workers int) (*Substrate, error) {
 	if c == nil {
-		return BuildWorkers(ctx, rel, workers)
+		return Build(ctx, rel)
 	}
 	c.mu.Lock()
 	if s, ok := c.byRel[rel]; ok {
@@ -297,7 +264,7 @@ func (c *Cache) ForWorkers(ctx context.Context, rel *relation.Relation, workers 
 
 	// Build outside the lock; a concurrent builder of the same content
 	// may race us, in which case the first stored substrate wins.
-	s, err := BuildWorkers(ctx, rel, workers)
+	s, err := Build(ctx, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -324,8 +291,8 @@ func (c *Cache) Lookup(rel *relation.Relation) *Substrate {
 	return c.byRel[rel]
 }
 
-// PutDerived registers a substrate derived for child (typically via
-// ProjectDedup on the parent's substrate), making later For/Lookup
+// PutDerived registers a substrate derived for child (typically over
+// the encoding relation.ProjectDedup derived), making later For/Lookup
 // calls for child hit the cache. A nil cache ignores the registration.
 func (c *Cache) PutDerived(child *relation.Relation, s *Substrate) {
 	if c == nil || s == nil {
@@ -373,8 +340,9 @@ func (c *Cache) LookupKey(key [sha256.Size]byte) *Substrate {
 	return c.byKey[key]
 }
 
-// Stats reports the cache's work so far: full encodes, code-level
-// derivations, and lookups served from cache. All zero on nil.
+// Stats reports the cache's work so far: substrates made on a miss,
+// code-level derivations, and lookups served from cache. All zero on
+// nil.
 func (c *Cache) Stats() (builds, derives, hits int64) {
 	if c == nil {
 		return 0, 0, 0
@@ -385,8 +353,7 @@ func (c *Cache) Stats() (builds, derives, hits int64) {
 // contentKey hashes the instance content — attribute names and rows,
 // with length framing so concatenations cannot collide. The relation's
 // name is deliberately excluded: encoding depends only on the data.
-// Values are read through Value so a columnar relation hashes without
-// materializing rows — and to the same key as its row-backed twin.
+// Values are read through Value, so hashing never materializes rows.
 func contentKey(rel *relation.Relation) [sha256.Size]byte {
 	h := sha256.New()
 	var frame [8]byte

@@ -50,18 +50,18 @@ func encodedEqual(a, b *relation.Encoded) error {
 	return nil
 }
 
-// TestProjectDedupMatchesEncode is the load-bearing property: deriving
-// a child substrate from the parent's codes must be observably
-// identical to materializing the projection with string rows and
-// encoding it from scratch — including code assignment order,
-// cardinalities, and null flags.
+// TestProjectDedupMatchesEncode is the load-bearing property of the
+// substrates the pipeline registers for decomposition children: the
+// substrate over the encoding relation.ProjectDedup derives from the
+// parent's codes must be observably identical to encoding the
+// materialized projection from scratch — including code assignment
+// order, cardinalities, and null flags.
 func TestProjectDedupMatchesEncode(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 200; trial++ {
 		attrs := 2 + r.Intn(6)
 		rows := r.Intn(60)
 		rel := randomRelation(r, "parent", attrs, rows)
-		parent := New(rel.Encode())
 
 		// Random projection (non-empty, ascending order like localSet).
 		var cols []int
@@ -74,23 +74,35 @@ func TestProjectDedupMatchesEncode(t *testing.T) {
 			cols = []int{r.Intn(attrs)}
 		}
 
-		derived := parent.ProjectDedup(cols)
-		direct := rel.Project("child", cols).Dedup().Encode()
-		if err := encodedEqual(derived.Encoded(), direct); err != nil {
+		derived := New(rel.ProjectDedup("child", cols).Encode())
+		var want [][]string
+		seen := make(map[string]bool)
+		for _, row := range rel.Rows() {
+			proj := make([]string, len(cols))
+			for j, c := range cols {
+				proj[j] = row[c]
+			}
+			if k := fmt.Sprintf("%q", proj); !seen[k] {
+				seen[k] = true
+				want = append(want, proj)
+			}
+		}
+		direct := relation.MustNew("child", rel.Project("child", cols).Attrs, want)
+		if err := encodedEqual(derived.Encoded(), direct.Encode()); err != nil {
 			t.Fatalf("trial %d cols %v: %v", trial, cols, err)
 		}
 	}
 }
 
 // TestProjectDedupHasNullConservative documents that derived null
-// flags are inherited from the parent column: dedup can only drop
-// duplicate tuples, never a distinct value, so a column has a null
-// after the projection iff it had one before.
+// flags match the parent column: dedup can only drop duplicate tuples,
+// never a distinct value, so a column has a null after the projection
+// iff it had one before.
 func TestProjectDedupHasNullConservative(t *testing.T) {
 	rel := relation.MustNew("r", []string{"a", "b"}, [][]string{
 		{"", "x"}, {"", "x"}, {"1", "y"},
 	})
-	s := New(rel.Encode()).ProjectDedup([]int{0, 1})
+	s := New(rel.ProjectDedup("p", []int{0, 1}).Encode())
 	if !s.Encoded().HasNull[0] || s.Encoded().HasNull[1] {
 		t.Errorf("HasNull = %v, want [true false]", s.Encoded().HasNull)
 	}
@@ -168,13 +180,16 @@ func TestCachePutDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := parent.Project("c", []int{0}).Dedup()
-	c.PutDerived(child, ps.ProjectDedup([]int{0}))
+	if ps.Encoded() != parent.Encode() {
+		t.Fatal("substrate must wrap the relation's own encoding")
+	}
+	child := parent.ProjectDedup("c", []int{0})
+	c.PutDerived(child, New(child.Encode()))
 	got := c.Lookup(child)
 	if got == nil {
 		t.Fatal("derived substrate not registered")
 	}
-	if err := encodedEqual(got.Encoded(), child.Encode()); err != nil {
+	if err := encodedEqual(got.Encoded(), relation.MustNew("c", []string{"a"}, [][]string{{"x"}}).Encode()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -245,11 +260,11 @@ func TestExtendMatchesFresh(t *testing.T) {
 		}
 		base := relation.MustNew("base", rel.Attrs, rel.Rows()[:baseRows])
 
-		grown, err := base.Columnarize().Columnar().Append(extra)
+		grown, err := base.Columnar().Append(extra)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ext := Extend(New(base.Columnarize().Columnar().Enc), grown.Enc)
+		ext := Extend(New(base.Encode()), grown.Enc)
 		fresh := New(rel.Encode())
 
 		if err := encodedEqual(ext.Encoded(), fresh.Encoded()); err != nil {

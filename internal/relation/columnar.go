@@ -44,20 +44,6 @@ func (c *Columnar) Value(row, col int) string {
 	return c.Dicts[col][c.Enc.Columns[col][row]]
 }
 
-// nullCode returns the code of the null value ("") in column col, or
-// -1 when the column holds no null.
-func (c *Columnar) nullCode(col int) int {
-	if !c.Enc.HasNull[col] {
-		return -1
-	}
-	for code, v := range c.Dicts[col] {
-		if IsNull(v) {
-			return code
-		}
-	}
-	return -1
-}
-
 // materializeRows rebuilds the string rows — the export-boundary
 // operation the columnar backing otherwise avoids.
 func (c *Columnar) materializeRows() [][]string {
@@ -74,27 +60,57 @@ func (c *Columnar) materializeRows() [][]string {
 }
 
 // derive builds the columnar backing of the relation obtained by
-// projecting onto cols (in the given order) and keeping exactly the
-// rows listed in keep (ascending). Codes are densified in first
-// appearance order over the surviving rows and the dictionaries are
-// remapped accordingly, so the result is indistinguishable from
-// encoding the materialized child rows. Null flags are exact: a column
-// loses its flag when every null row was dropped.
+// projecting onto cols (in the given order) and taking the rows listed
+// in keep, in list order; a row may be listed more than once (a join
+// repeats matched rows). Codes are densified in first appearance order
+// over the listed rows and the dictionaries are remapped accordingly,
+// so the result is indistinguishable from encoding the materialized
+// child rows. Null flags are exact: a column loses its flag when no
+// listed row holds a null.
 func (c *Columnar) derive(cols, keep []int) *Columnar {
-	child, remaps := c.Enc.Select(cols, keep)
-	dicts := make([][]string, len(cols))
-	for j, pc := range cols {
-		dict := make([]string, child.Cardinality[j])
-		for parentCode, childCode := range remaps[j] {
-			if childCode >= 0 {
-				dict[childCode] = c.Dicts[pc][parentCode]
-			}
-		}
-		dicts[j] = dict
-		nc := c.nullCode(pc)
-		child.HasNull[j] = nc >= 0 && remaps[j][nc] >= 0
+	child := &Columnar{
+		Enc: &Encoded{
+			NumRows:     len(keep),
+			Columns:     make([][]int, len(cols)),
+			Cardinality: make([]int, len(cols)),
+			HasNull:     make([]bool, len(cols)),
+		},
+		Dicts: make([][]string, len(cols)),
 	}
-	return &Columnar{Enc: child, Dicts: dicts}
+	for j, pc := range cols {
+		src, parent := c.Enc.Columns[pc], c.Dicts[pc]
+		remap := make([]int, len(parent)) // parent code → child code + 1
+		var dict []string
+		out := make([]int, len(keep))
+		hasNull := false
+		for i, row := range keep {
+			code := src[row]
+			if remap[code] == 0 {
+				dict = append(dict, parent[code])
+				remap[code] = len(dict)
+				hasNull = hasNull || IsNull(parent[code])
+			}
+			out[i] = remap[code] - 1
+		}
+		child.Enc.Columns[j] = out
+		child.Enc.Cardinality[j] = len(dict)
+		child.Enc.HasNull[j] = hasNull
+		child.Dicts[j] = dict
+	}
+	return child
+}
+
+// emptyColumnar returns the backing of a relation with n columns and
+// no rows, the base New appends to.
+func emptyColumnar(n int) *Columnar {
+	return &Columnar{
+		Enc: &Encoded{
+			Columns:     make([][]int, n),
+			Cardinality: make([]int, n),
+			HasNull:     make([]bool, n),
+		},
+		Dicts: make([][]string, n),
+	}
 }
 
 // Append derives the columnar backing of the relation extended by the
@@ -110,7 +126,7 @@ func (c *Columnar) Append(rows [][]string) (*Columnar, error) {
 	nCols := len(c.Dicts)
 	for i, row := range rows {
 		if len(row) != nCols {
-			return nil, fmt.Errorf("append: row %d has %d values, want %d", i, len(row), nCols)
+			return nil, fmt.Errorf("row %d has %d fields, want %d", i, len(row), nCols)
 		}
 	}
 	total := c.Enc.NumRows + len(rows)
@@ -125,19 +141,18 @@ func (c *Columnar) Append(rows [][]string) (*Columnar, error) {
 		codes := make([]int, total)
 		copy(codes, c.Enc.Columns[col])
 		parent := c.Dicts[col]
-		index := make(map[string]int, len(parent)+len(rows))
+		index := make(map[string]int, len(parent))
 		for code, v := range parent {
 			index[v] = code
 		}
-		dict := parent
+		// Capped at its length, the first new value copies the parent
+		// dictionary instead of writing into its spare capacity.
+		dict := parent[:len(parent):len(parent)]
 		hasNull := c.Enc.HasNull[col]
 		for i, row := range rows {
 			v := row[col]
 			code, ok := index[v]
 			if !ok {
-				if len(dict) == len(parent) {
-					dict = append(make([]string, 0, len(parent)+len(rows)), parent...)
-				}
 				code = len(dict)
 				dict = append(dict, v)
 				index[v] = code
@@ -155,18 +170,23 @@ func (c *Columnar) Append(rows [][]string) (*Columnar, error) {
 	return &Columnar{Enc: enc, Dicts: dicts}, nil
 }
 
-// DedupKeep returns the row indices (ascending) of the first
+// appendCode appends the 4-byte little-endian form of a code, the
+// building block of the code-tuple keys of dedup and join.
+func appendCode(key []byte, v int) []byte {
+	return append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
+
+// dedupKeep returns the row indices (ascending) of the first
 // occurrences of the distinct code tuples over the given columns — the
 // keep-list of a projection with set semantics.
-func (e *Encoded) DedupKeep(cols []int) []int {
+func (e *Encoded) dedupKeep(cols []int) []int {
 	seen := make(map[string]struct{}, e.NumRows)
 	keep := make([]int, 0, e.NumRows)
 	key := make([]byte, 0, len(cols)*4)
 	for row := 0; row < e.NumRows; row++ {
 		key = key[:0]
 		for _, c := range cols {
-			v := e.Columns[c][row]
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+			key = appendCode(key, e.Columns[c][row])
 		}
 		k := string(key)
 		if _, dup := seen[k]; dup {
@@ -176,46 +196,6 @@ func (e *Encoded) DedupKeep(cols []int) []int {
 		keep = append(keep, row)
 	}
 	return keep
-}
-
-// Select derives the encoding of the sub-instance given by the columns
-// cols (in order) and the surviving rows keep (ascending): codes are
-// densified in first appearance order over the kept rows, which is the
-// order a fresh Encode of the materialized sub-instance would assign.
-// It returns the child encoding plus, per child column, the parent →
-// child code remap (-1 for parent codes that did not survive). Null
-// flags are propagated from the parent columns; callers that can
-// identify the null code (Columnar.derive) tighten them afterwards.
-func (e *Encoded) Select(cols, keep []int) (*Encoded, [][]int) {
-	child := &Encoded{
-		NumRows:     len(keep),
-		Columns:     make([][]int, len(cols)),
-		Cardinality: make([]int, len(cols)),
-		HasNull:     make([]bool, len(cols)),
-	}
-	remaps := make([][]int, len(cols))
-	for j, c := range cols {
-		src := e.Columns[c]
-		remap := make([]int, e.Cardinality[c])
-		for i := range remap {
-			remap[i] = -1
-		}
-		out := make([]int, len(keep))
-		next := 0
-		for i, row := range keep {
-			code := src[row]
-			if remap[code] < 0 {
-				remap[code] = next
-				next++
-			}
-			out[i] = remap[code]
-		}
-		child.Columns[j] = out
-		child.Cardinality[j] = next
-		child.HasNull[j] = e.HasNull[c]
-		remaps[j] = remap
-	}
-	return child, remaps
 }
 
 // identityCols returns [0, 1, …, n-1].

@@ -4,15 +4,14 @@
 // deduplication, and natural joins (used both to denormalize evaluation
 // datasets and to verify lossless decompositions).
 //
-// A relation carries one of two backings: string rows (the legacy
-// interchange format, still produced by ReadCSV and by literals in
-// tests) or a dictionary-encoded Columnar (produced by streaming ingest
-// and by every columnar derivation). The two are observationally
-// identical — Value, Encode, projections and dedup agree bit for bit —
-// but the columnar backing never stores per-row string slices, so the
-// pipeline can hold instances whose materialized rows would not fit in
-// memory. Rows() materializes the string view lazily and caches it;
-// it is an export-boundary operation, not a data-plane one.
+// A relation is backed by a dictionary-encoded Columnar: New encodes
+// its rows at construction, streaming ingest builds the backing
+// directly, and every derivation — projection, dedup, row selection,
+// natural join, append — remaps integer codes instead of re-hashing
+// strings. No per-row string slices are stored, so the pipeline can
+// hold instances whose materialized rows would not fit in memory.
+// Rows() materializes the string view lazily and caches it; it is an
+// export-boundary operation, not a data-plane one.
 //
 // The empty string represents the SQL null value ⊥. Two nulls compare
 // equal for functional-dependency semantics, which matches the default
@@ -20,14 +19,11 @@
 package relation
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"normalize/internal/bitset"
-	"normalize/internal/shardenc"
 )
 
 // IsNull reports whether a value represents SQL null (⊥).
@@ -40,21 +36,21 @@ type Relation struct {
 	Attrs []string
 
 	mu   sync.Mutex
-	rows [][]string // string-row backing, or the cached materialization of cols
-	cols *Columnar  // dictionary-encoded backing; nil for row-backed relations
+	cols *Columnar  // dictionary-encoded backing
+	rows [][]string // cached materialization of cols, built by Rows
 }
 
-// New creates a row-backed relation and validates its shape.
+// New creates a relation over the given rows, validating its shape and
+// dictionary-encoding the rows. The relation does not retain rows.
 func New(name string, attrs []string, rows [][]string) (*Relation, error) {
 	if err := checkAttrs(name, attrs); err != nil {
 		return nil, err
 	}
-	for i, r := range rows {
-		if len(r) != len(attrs) {
-			return nil, fmt.Errorf("relation %s: row %d has %d fields, want %d", name, i, len(r), len(attrs))
-		}
+	cols, err := emptyColumnar(len(attrs)).Append(rows)
+	if err != nil {
+		return nil, fmt.Errorf("relation %s: %w", name, err)
 	}
-	return &Relation{Name: name, Attrs: attrs, rows: rows}, nil
+	return &Relation{Name: name, Attrs: attrs, cols: cols}, nil
 }
 
 func checkAttrs(name string, attrs []string) error {
@@ -81,8 +77,8 @@ func MustNew(name string, attrs []string, rows [][]string) *Relation {
 	return r
 }
 
-// NewColumnar creates a columnar-backed relation over a validated
-// backing. The Columnar must be treated as immutable afterwards.
+// NewColumnar creates a relation over a validated backing. The
+// Columnar must be treated as immutable afterwards.
 func NewColumnar(name string, attrs []string, c *Columnar) (*Relation, error) {
 	if err := checkAttrs(name, attrs); err != nil {
 		return nil, err
@@ -93,20 +89,16 @@ func NewColumnar(name string, attrs []string, c *Columnar) (*Relation, error) {
 	return &Relation{Name: name, Attrs: attrs, cols: c}, nil
 }
 
-// Columnar returns the dictionary-encoded backing, or nil when the
-// relation is row-backed. The returned value is shared and immutable.
+// Columnar returns the dictionary-encoded backing. The returned value
+// is shared and immutable.
 func (r *Relation) Columnar() *Columnar { return r.cols }
 
-// Rows materializes the relation's rows as string slices. For
-// row-backed relations this is the backing itself; for columnar ones
-// the rows are rebuilt from the dictionaries on first call and cached.
-// Callers must not mutate the result (use AppendRow to grow a
-// relation). This is an export-boundary operation — pipeline-internal
-// code reads values via Value or the encoded backing instead.
+// Rows materializes the relation's rows as string slices, rebuilding
+// them from the dictionaries on first call and caching them. Callers
+// must not mutate the result (use AppendRow to grow a relation). This
+// is an export-boundary operation — pipeline-internal code reads
+// values via Value or the encoded backing instead.
 func (r *Relation) Rows() [][]string {
-	if r.cols == nil {
-		return r.rows
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.rows == nil {
@@ -116,25 +108,18 @@ func (r *Relation) Rows() [][]string {
 }
 
 // Value returns the value at (row, col) without materializing rows.
-func (r *Relation) Value(row, col int) string {
-	if r.cols != nil {
-		return r.cols.Value(row, col)
-	}
-	return r.rows[row][col]
-}
+func (r *Relation) Value(row, col int) string { return r.cols.Value(row, col) }
 
-// AppendRow appends one row, materializing the string backing first;
-// the stale columnar backing (if any) is dropped, so a later Encode
-// reflects the insertion.
+// AppendRow appends one row, encoding it against the dictionaries like
+// Columnar.Append; any cached materialization is dropped.
 func (r *Relation) AppendRow(row []string) error {
-	if len(row) != len(r.Attrs) {
-		return fmt.Errorf("relation %s: row has %d fields, want %d", r.Name, len(row), len(r.Attrs))
-	}
-	rows := r.Rows()
 	r.mu.Lock()
-	r.rows = append(rows, row)
-	r.cols = nil
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	cols, err := r.cols.Append([][]string{row})
+	if err != nil {
+		return fmt.Errorf("relation %s: %w", r.Name, err)
+	}
+	r.cols, r.rows = cols, nil
 	return nil
 }
 
@@ -142,12 +127,7 @@ func (r *Relation) AppendRow(row []string) error {
 func (r *Relation) NumAttrs() int { return len(r.Attrs) }
 
 // NumRows returns the number of rows.
-func (r *Relation) NumRows() int {
-	if r.cols != nil {
-		return r.cols.Enc.NumRows
-	}
-	return len(r.rows)
-}
+func (r *Relation) NumRows() int { return r.cols.Enc.NumRows }
 
 // AttrIndex returns the position of the named attribute, or -1.
 func (r *Relation) AttrIndex(name string) int {
@@ -172,60 +152,31 @@ func (r *Relation) AttrNames(s *bitset.Set) []string {
 
 // Column returns the values of column c as a fresh slice.
 func (r *Relation) Column(c int) []string {
-	out := make([]string, r.NumRows())
-	if r.cols != nil {
-		dict, codes := r.cols.Dicts[c], r.cols.Enc.Columns[c]
-		for i, code := range codes {
-			out[i] = dict[code]
-		}
-		return out
-	}
-	for i, row := range r.rows {
-		out[i] = row[c]
+	dict, codes := r.cols.Dicts[c], r.cols.Enc.Columns[c]
+	out := make([]string, len(codes))
+	for i, code := range codes {
+		out[i] = dict[code]
 	}
 	return out
 }
 
 // HasNull reports whether column c contains at least one null.
-func (r *Relation) HasNull(c int) bool {
-	if r.cols != nil {
-		return r.cols.Enc.HasNull[c]
-	}
-	for _, row := range r.rows {
-		if IsNull(row[c]) {
-			return true
-		}
-	}
-	return false
-}
+func (r *Relation) HasNull(c int) bool { return r.cols.Enc.HasNull[c] }
 
 // MaxValueLen returns the length in bytes of the longest value in the
 // given attribute combination; values of multiple attributes are
 // concatenated per row, as prescribed for the paper's value score.
+// Per-code lengths come from the dictionaries; no strings are touched.
 func (r *Relation) MaxValueLen(attrs *bitset.Set) int {
 	max := 0
-	if r.cols != nil {
-		// Per-code lengths come from the dictionaries; no strings touched.
-		cols := attrs.Elements()
-		for i, n := 0, r.cols.Enc.NumRows; i < n; i++ {
-			sum := 0
-			for _, c := range cols {
-				sum += len(r.cols.Dicts[c][r.cols.Enc.Columns[c][i]])
-			}
-			if sum > max {
-				max = sum
-			}
+	cols := attrs.Elements()
+	for i, n := 0, r.cols.Enc.NumRows; i < n; i++ {
+		sum := 0
+		for _, c := range cols {
+			sum += len(r.cols.Dicts[c][r.cols.Enc.Columns[c][i]])
 		}
-		return max
-	}
-	for _, row := range r.rows {
-		n := 0
-		attrs.ForEach(func(c int) bool {
-			n += len(row[c])
-			return true
-		})
-		if n > max {
-			max = n
+		if sum > max {
+			max = sum
 		}
 	}
 	return max
@@ -234,61 +185,33 @@ func (r *Relation) MaxValueLen(attrs *bitset.Set) int {
 // DistinctCount returns the exact number of distinct value combinations
 // of the given attribute set (nulls compare equal).
 func (r *Relation) DistinctCount(attrs *bitset.Set) int {
-	if r.cols != nil {
-		return len(r.cols.Enc.DedupKeep(attrs.Elements()))
-	}
-	seen := make(map[string]struct{}, len(r.rows))
-	cols := attrs.Elements()
-	var b strings.Builder
-	for _, row := range r.rows {
-		b.Reset()
-		for _, c := range cols {
-			b.WriteString(row[c])
-			b.WriteByte(0)
-		}
-		seen[b.String()] = struct{}{}
-	}
-	return len(seen)
+	return len(r.cols.Enc.dedupKeep(attrs.Elements()))
 }
 
 // Project returns a new relation with the given columns (by index, in
 // the given order). Duplicates are retained; use Dedup afterwards for
-// set semantics (or ProjectDedup, which fuses the two). A columnar
-// relation projects to a columnar relation that shares the parent's
-// code arrays and dictionaries — dropping rows does not happen here,
-// so per-column codes stay dense and in first-appearance order.
+// set semantics (or ProjectDedup, which fuses the two). The projection
+// shares the parent's code arrays and dictionaries — no rows are
+// dropped, so per-column codes stay dense and in first-appearance order.
 func (r *Relation) Project(name string, cols []int) *Relation {
 	attrs := make([]string, len(cols))
-	for i, c := range cols {
-		attrs[i] = r.Attrs[c]
+	child := &Columnar{
+		Enc: &Encoded{
+			NumRows:     r.cols.Enc.NumRows,
+			Columns:     make([][]int, len(cols)),
+			Cardinality: make([]int, len(cols)),
+			HasNull:     make([]bool, len(cols)),
+		},
+		Dicts: make([][]string, len(cols)),
 	}
-	if r.cols != nil {
-		child := &Columnar{
-			Enc: &Encoded{
-				NumRows:     r.cols.Enc.NumRows,
-				Columns:     make([][]int, len(cols)),
-				Cardinality: make([]int, len(cols)),
-				HasNull:     make([]bool, len(cols)),
-			},
-			Dicts: make([][]string, len(cols)),
-		}
-		for j, c := range cols {
-			child.Enc.Columns[j] = r.cols.Enc.Columns[c]
-			child.Enc.Cardinality[j] = r.cols.Enc.Cardinality[c]
-			child.Enc.HasNull[j] = r.cols.Enc.HasNull[c]
-			child.Dicts[j] = r.cols.Dicts[c]
-		}
-		return &Relation{Name: name, Attrs: attrs, cols: child}
+	for j, c := range cols {
+		attrs[j] = r.Attrs[c]
+		child.Enc.Columns[j] = r.cols.Enc.Columns[c]
+		child.Enc.Cardinality[j] = r.cols.Enc.Cardinality[c]
+		child.Enc.HasNull[j] = r.cols.Enc.HasNull[c]
+		child.Dicts[j] = r.cols.Dicts[c]
 	}
-	rows := make([][]string, len(r.rows))
-	for i, row := range r.rows {
-		nr := make([]string, len(cols))
-		for j, c := range cols {
-			nr[j] = row[c]
-		}
-		rows[i] = nr
-	}
-	return &Relation{Name: name, Attrs: attrs, rows: rows}
+	return &Relation{Name: name, Attrs: attrs, cols: child}
 }
 
 // ProjectSet is Project with columns given as a bitset (ascending
@@ -298,20 +221,16 @@ func (r *Relation) ProjectSet(name string, attrs *bitset.Set) *Relation {
 }
 
 // ProjectDedup projects onto the given columns with set semantics in
-// one pass. On a columnar relation this never touches strings: the
-// child encoding is derived by code remapping, keeping the first
-// occurrence of every distinct tuple, exactly as Project followed by
-// Dedup would.
+// one pass, never touching strings: the child encoding is derived by
+// code remapping, keeping the first occurrence of every distinct tuple,
+// exactly as Project followed by Dedup would.
 func (r *Relation) ProjectDedup(name string, cols []int) *Relation {
-	if r.cols != nil {
-		attrs := make([]string, len(cols))
-		for i, c := range cols {
-			attrs[i] = r.Attrs[c]
-		}
-		keep := r.cols.Enc.DedupKeep(cols)
-		return &Relation{Name: name, Attrs: attrs, cols: r.cols.derive(cols, keep)}
+	attrs := make([]string, len(cols))
+	for i, c := range cols {
+		attrs[i] = r.Attrs[c]
 	}
-	return r.Project(name, cols).Dedup()
+	keep := r.cols.Enc.dedupKeep(cols)
+	return &Relation{Name: name, Attrs: attrs, cols: r.cols.derive(cols, keep)}
 }
 
 // ProjectDedupSet is ProjectDedup with columns given as a bitset.
@@ -320,66 +239,30 @@ func (r *Relation) ProjectDedupSet(name string, attrs *bitset.Set) *Relation {
 }
 
 // DedupCopy returns a deduplicated copy under a new name, leaving the
-// receiver untouched (Dedup mutates in place and, for row backings,
-// compacts the shared row slice).
+// receiver untouched (Dedup replaces the receiver's backing).
 func (r *Relation) DedupCopy(name string) *Relation {
-	if r.cols != nil {
-		return r.ProjectDedup(name, identityCols(len(r.Attrs)))
-	}
-	rows := make([][]string, len(r.rows))
-	copy(rows, r.rows)
-	out := &Relation{Name: name, Attrs: r.Attrs, rows: rows}
-	return out.Dedup()
+	return r.ProjectDedup(name, identityCols(len(r.Attrs)))
 }
 
 // SelectRows returns a new relation holding exactly the rows listed in
-// keep (ascending), under the given name. Row backings alias the kept
-// row slices; columnar backings are re-derived with codes densified in
+// keep (ascending), under the given name. Codes are densified in
 // first-appearance order over the surviving rows, so the result equals
 // a fresh encode of the materialized sample.
 func (r *Relation) SelectRows(name string, keep []int) *Relation {
-	if r.cols != nil {
-		return &Relation{Name: name, Attrs: r.Attrs, cols: r.cols.derive(identityCols(len(r.Attrs)), keep)}
-	}
-	rows := make([][]string, len(keep))
-	for i, k := range keep {
-		rows[i] = r.rows[k]
-	}
-	return &Relation{Name: name, Attrs: r.Attrs, rows: rows}
+	return &Relation{Name: name, Attrs: r.Attrs, cols: r.cols.derive(identityCols(len(r.Attrs)), keep)}
 }
 
 // Dedup removes duplicate rows in place, keeping first occurrences, and
-// returns the receiver. On a row backing the kept rows are compacted
-// into the existing slice; on a columnar backing a derived backing
-// replaces the old one (and any cached materialization is dropped).
+// returns the receiver: a derived backing replaces the old one and any
+// cached materialization is dropped.
 func (r *Relation) Dedup() *Relation {
-	if r.cols != nil {
-		keep := r.cols.Enc.DedupKeep(identityCols(len(r.Attrs)))
-		if len(keep) != r.cols.Enc.NumRows {
-			r.mu.Lock()
-			r.cols = r.cols.derive(identityCols(len(r.Attrs)), keep)
-			r.rows = nil
-			r.mu.Unlock()
-		}
-		return r
+	keep := r.cols.Enc.dedupKeep(identityCols(len(r.Attrs)))
+	if len(keep) != r.cols.Enc.NumRows {
+		r.mu.Lock()
+		r.cols = r.cols.derive(identityCols(len(r.Attrs)), keep)
+		r.rows = nil
+		r.mu.Unlock()
 	}
-	seen := make(map[string]struct{}, len(r.rows))
-	out := r.rows[:0]
-	var b strings.Builder
-	for _, row := range r.rows {
-		b.Reset()
-		for _, v := range row {
-			b.WriteString(v)
-			b.WriteByte(0)
-		}
-		k := b.String()
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, row)
-	}
-	r.rows = out
 	return r
 }
 
@@ -426,7 +309,10 @@ func (r *Relation) SameRowSet(o *Relation) bool {
 // NaturalJoin joins r with o on all attributes sharing the same name.
 // The result header is r's attributes followed by o's non-shared
 // attributes. Nulls join with nulls (values compare by equality). It is
-// an error if the relations share no attribute.
+// an error if the relations share no attribute. The join runs on codes:
+// o's shared-attribute codes are translated into r's dictionaries, and
+// the output is derived from both operands' backings over the matched
+// row lists, so it equals a fresh encode of the joined rows.
 func (r *Relation) NaturalJoin(name string, o *Relation) (*Relation, error) {
 	var shared [][2]int // (col in r, col in o)
 	oOnly := make([]int, 0, len(o.Attrs))
@@ -447,70 +333,59 @@ func (r *Relation) NaturalJoin(name string, o *Relation) (*Relation, error) {
 		attrs = append(attrs, o.Attrs[j])
 	}
 
-	rRows, oRows := r.Rows(), o.Rows()
-
-	// Hash join: index o by its shared-attribute key.
-	index := make(map[string][]int, len(oRows))
-	var b strings.Builder
-	for i, row := range oRows {
-		b.Reset()
-		for _, p := range shared {
-			b.WriteString(row[p[1]])
-			b.WriteByte(0)
+	// toR[k][code] is r's code for o's value code in the k-th shared
+	// attribute, or -1 when r never holds that value.
+	toR := make([][]int, len(shared))
+	for k, p := range shared {
+		index := make(map[string]int, len(r.cols.Dicts[p[0]]))
+		for code, v := range r.cols.Dicts[p[0]] {
+			index[v] = code
 		}
-		k := b.String()
-		index[k] = append(index[k], i)
-	}
-
-	var rows [][]string
-	for _, row := range rRows {
-		b.Reset()
-		for _, p := range shared {
-			b.WriteString(row[p[0]])
-			b.WriteByte(0)
-		}
-		for _, oi := range index[b.String()] {
-			nr := make([]string, 0, len(attrs))
-			nr = append(nr, row...)
-			for _, j := range oOnly {
-				nr = append(nr, oRows[oi][j])
-			}
-			rows = append(rows, nr)
-		}
-	}
-	return &Relation{Name: name, Attrs: attrs, rows: rows}, nil
-}
-
-// Columnarize converts a row-backed relation to the columnar backing
-// in place (encoding the rows and building dictionaries) and drops the
-// string rows, returning the receiver. Columnar relations are returned
-// unchanged. The relation is observationally identical afterwards;
-// only its memory shape differs.
-func (r *Relation) Columnarize() *Relation {
-	if r.cols != nil {
-		return r
-	}
-	enc := r.Encode()
-	dicts := make([][]string, len(r.Attrs))
-	for c := range r.Attrs {
-		dict := make([]string, enc.Cardinality[c])
-		seen := 0
-		for i, code := range enc.Columns[c] {
-			if code == seen {
-				dict[code] = r.rows[i][c]
-				seen++
-				if seen == len(dict) {
-					break
-				}
+		t := make([]int, len(o.cols.Dicts[p[1]]))
+		for code, v := range o.cols.Dicts[p[1]] {
+			if rc, ok := index[v]; ok {
+				t[code] = rc
+			} else {
+				t[code] = -1
 			}
 		}
-		dicts[c] = dict
+		toR[k] = t
 	}
-	r.mu.Lock()
-	r.cols = &Columnar{Enc: enc, Dicts: dicts}
-	r.rows = nil
-	r.mu.Unlock()
-	return r
+
+	// Hash join: index o by its shared-attribute key in r's codes.
+	index := make(map[string][]int, o.NumRows())
+	key := make([]byte, 0, 4*len(shared))
+rows:
+	for i, n := 0, o.NumRows(); i < n; i++ {
+		key = key[:0]
+		for k, p := range shared {
+			code := toR[k][o.cols.Enc.Columns[p[1]][i]]
+			if code < 0 {
+				continue rows
+			}
+			key = appendCode(key, code)
+		}
+		index[string(key)] = append(index[string(key)], i)
+	}
+	var left, right []int
+	for i, n := 0, r.NumRows(); i < n; i++ {
+		key = key[:0]
+		for _, p := range shared {
+			key = appendCode(key, r.cols.Enc.Columns[p[0]][i])
+		}
+		for _, oi := range index[string(key)] {
+			left = append(left, i)
+			right = append(right, oi)
+		}
+	}
+
+	lc := r.cols.derive(identityCols(len(r.Attrs)), left)
+	rc := o.cols.derive(oOnly, right)
+	lc.Enc.Columns = append(lc.Enc.Columns, rc.Enc.Columns...)
+	lc.Enc.Cardinality = append(lc.Enc.Cardinality, rc.Enc.Cardinality...)
+	lc.Enc.HasNull = append(lc.Enc.HasNull, rc.Enc.HasNull...)
+	lc.Dicts = append(lc.Dicts, rc.Dicts...)
+	return &Relation{Name: name, Attrs: attrs, cols: lc}, nil
 }
 
 // Encoded is the dictionary-encoded, column-major form of a relation,
@@ -527,94 +402,6 @@ type Encoded struct {
 	HasNull []bool
 }
 
-// Encode dictionary-encodes the relation.
-func (r *Relation) Encode() *Encoded {
-	e, _ := r.EncodeContext(context.Background())
-	return e
-}
-
-// parallelEncodeMinRows is the row count below which the sharded
-// parallel encode is not worth its goroutine setup; smaller relations
-// take the serial path regardless of the worker hint.
-const parallelEncodeMinRows = 4096
-
-// EncodeParallelContext is EncodeContext with a worker hint: columns
-// of a row-backed relation are encoded row-parallel on the sharded
-// lock-free interner (internal/shardenc) when workers > 1 and the
-// relation is large enough to pay for the fan-out. The two-phase
-// intern-then-densify scheme makes the result byte-identical to
-// EncodeContext at every worker count — codes are dense in
-// first-appearance order, Cardinality and HasNull match exactly.
-func (r *Relation) EncodeParallelContext(ctx context.Context, workers int) (*Encoded, error) {
-	if r.cols != nil {
-		return r.cols.Enc, nil
-	}
-	if workers <= 1 || len(r.rows) < parallelEncodeMinRows {
-		return r.EncodeContext(ctx)
-	}
-	e := &Encoded{
-		NumRows:     len(r.rows),
-		Columns:     make([][]int, len(r.Attrs)),
-		Cardinality: make([]int, len(r.Attrs)),
-		HasNull:     make([]bool, len(r.Attrs)),
-	}
-	for c := range r.Attrs {
-		var hasNull atomic.Bool
-		col, card, err := shardenc.Encode(ctx, len(r.rows), func(i int) string {
-			v := r.rows[i][c]
-			if IsNull(v) {
-				hasNull.Store(true)
-			}
-			return v
-		}, workers)
-		if err != nil {
-			return nil, err
-		}
-		e.Columns[c], e.Cardinality[c], e.HasNull[c] = col, card, hasNull.Load()
-	}
-	return e, nil
-}
-
-// EncodeContext is Encode with cancellation: encoding a wide relation is
-// the first non-trivial cost of every discovery algorithm, so it polls
-// ctx between row blocks and returns ctx.Err() when cancelled. A
-// columnar relation returns its backing encoding directly (callers
-// treat Encoded as immutable).
-func (r *Relation) EncodeContext(ctx context.Context) (*Encoded, error) {
-	if r.cols != nil {
-		return r.cols.Enc, nil
-	}
-	done := ctx.Done()
-	e := &Encoded{
-		NumRows:     len(r.rows),
-		Columns:     make([][]int, len(r.Attrs)),
-		Cardinality: make([]int, len(r.Attrs)),
-		HasNull:     make([]bool, len(r.Attrs)),
-	}
-	for c := range r.Attrs {
-		codes := make(map[string]int)
-		col := make([]int, len(r.rows))
-		for i, row := range r.rows {
-			if i&1023 == 0 {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			v := row[c]
-			if IsNull(v) {
-				e.HasNull[c] = true
-			}
-			code, ok := codes[v]
-			if !ok {
-				code = len(codes)
-				codes[v] = code
-			}
-			col[i] = code
-		}
-		e.Columns[c] = col
-		e.Cardinality[c] = len(codes)
-	}
-	return e, nil
-}
+// Encode returns the relation's dictionary encoding: the backing
+// itself, shared and immutable, so callers must not modify it.
+func (r *Relation) Encode() *Encoded { return r.cols.Enc }

@@ -140,9 +140,8 @@ func EstimateDistinctBloom(rel *relation.Relation, attrs *bitset.Set) float64 {
 	f := bloom.New(rel.NumRows(), 0.01)
 	cols := attrs.Elements()
 	buf := make([]byte, 0, 64)
-	// Read through Value: on a columnar relation this hashes dictionary
-	// strings without materializing rows, and feeds the Bloom filter the
-	// exact bytes the row-backed path would.
+	// Read through Value: this hashes dictionary strings without
+	// materializing rows.
 	for i, n := 0, rel.NumRows(); i < n; i++ {
 		buf = buf[:0]
 		for _, c := range cols {

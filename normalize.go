@@ -58,7 +58,8 @@ import (
 type Relation = relation.Relation
 
 // NewRelation creates a relation from a header and rows, validating
-// shape (no duplicate or empty attribute names, rectangular rows).
+// shape (no duplicate or empty attribute names, rectangular rows) and
+// dictionary-encoding the rows; the relation keeps no reference to them.
 func NewRelation(name string, attrs []string, rows [][]string) (*Relation, error) {
 	return relation.New(name, attrs, rows)
 }

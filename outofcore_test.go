@@ -42,7 +42,6 @@ func TestOutOfCoreIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy.Columnarize()
 
 	var spills, rows atomic.Int64
 	spillDir := t.TempDir()
@@ -129,7 +128,6 @@ func TestOutOfCoreDiscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := ds.Original[7] // lineitem
-	rel.Columnarize()
 
 	want, err := Normalize(rel, Options{MaxLhs: 3, Workers: 1})
 	if err != nil {
