@@ -132,16 +132,6 @@ func (s *Set) DifferenceWith(o *Set) *Set {
 	return s
 }
 
-// UnionWithIntersection adds every element of x ∩ y to s and returns s.
-// It is the allocation-free form of s.UnionWith(x.Intersect(y)), which
-// pairwise-overlap loops call quadratically often.
-func (s *Set) UnionWithIntersection(x, y *Set) *Set {
-	for i := range s.words {
-		s.words[i] |= x.words[i] & y.words[i]
-	}
-	return s
-}
-
 // CopyFrom overwrites s with the contents of o (same universe size) and
 // returns s. It is the allocation-free form of o.Clone() for callers
 // that reuse a scratch set.

@@ -19,6 +19,7 @@ import (
 	"normalize/internal/relation"
 	"normalize/internal/scoring"
 	"normalize/internal/violation"
+	"normalize/internal/wsteal"
 )
 
 // ClosureAlgorithm selects the closure variant (Section 4); the
@@ -45,10 +46,11 @@ type Options struct {
 	// MaxLhs prunes discovered FDs to left-hand sides of at most this
 	// size (0 = unbounded); Section 4.3's memory safeguard.
 	MaxLhs int
-	// Workers bounds the run's parallelism: closure computation and the
-	// worker pools of FD discovery. 0 means GOMAXPROCS; 1 forces a fully
-	// serial run. Results are identical for every worker count —
-	// parallel stages merge their verdicts deterministically.
+	// Workers bounds the run's parallelism: closure computation, the
+	// worker pools of FD discovery and violating-FD scoring. 0 means
+	// GOMAXPROCS; 1 forces a fully serial run. Results are identical for
+	// every worker count — parallel stages merge their verdicts
+	// deterministically.
 	Workers int
 	// Closure selects the closure algorithm (optimized by default).
 	Closure ClosureAlgorithm
@@ -190,6 +192,11 @@ func NormalizeRelationContext(ctx context.Context, rel *relation.Relation, opts 
 		res:     &Result{},
 		cache:   plicache.NewCache(),
 	}
+	defer func() {
+		if p.pool != nil {
+			p.pool.Close()
+		}
+	}()
 	p.res.Stats.Attrs = rel.NumAttrs()
 	p.res.Stats.Records = rel.NumRows()
 
@@ -240,6 +247,9 @@ type run struct {
 	// scores memoizes the exact per-attribute-set facts behind candidate
 	// scoring, bound to the root instance after buildRoot.
 	scores *scoreIndex
+	// pool runs the batched score measurement; created on first use
+	// (workPool), nil for a serial run.
+	pool *wsteal.Pool
 	// timedKeys and timedViolation record that Stats.KeyDerivation and
 	// Stats.Violation hold their stage's first call.
 	timedKeys, timedViolation bool
@@ -444,7 +454,10 @@ func (p *run) decompose(ctx context.Context, root *Table, worklist []*Table, use
 		serr := runStage(observe.Selection, func() error {
 			obs.StageStart(observe.Selection)
 			start = time.Now()
-			ranked := p.rankViolatingFDs(t, viol)
+			ranked, err := p.rankViolatingFDs(ctx, t, viol)
+			if err != nil {
+				return err // span stays open: interrupted
+			}
 			obs.Counter(observe.Selection, observe.CounterCandidatesScored, int64(len(ranked)))
 			choice, pruneRhs := p.decider.ChooseViolatingFD(t, ranked)
 			obs.StageFinish(observe.Selection, time.Since(start))
@@ -845,20 +858,34 @@ func foreignKeySets(t *Table) []*bitset.Set {
 // run's exact score index, which memoizes them per universal attribute
 // set (they are projection-invariant, so the root-level facts are the
 // table-level facts). Exact counts replace the paper's Bloom sketch
-// here: the index pays one PLI intersection per distinct set instead of
-// one row scan per candidate, and exactness is what lets a delta run
-// (internal/delta) reproduce the scores without touching the base rows.
-func (p *run) rankViolatingFDs(t *Table, viol []*fd.FD) []RankedFD {
+// here: the index measures every set the table's FDs need in one
+// batched prefix walk over single-column PLIs (scoreIndex.measure) on
+// the run's pool, instead of one row scan per candidate, and exactness
+// is what lets a delta run (internal/delta) reproduce the scores
+// without touching the base rows.
+func (p *run) rankViolatingFDs(ctx context.Context, t *Table, viol []*fd.FD) ([]RankedFD, error) {
+	if err := p.scores.measure(ctx, p.workPool(), viol); err != nil {
+		return nil, err
+	}
+	// An RHS attribute is shared when at least two violating FDs' RHSs
+	// hold it.
+	occurs := make([]int, t.universe)
+	for _, v := range viol {
+		v.Rhs.ForEach(func(a int) bool {
+			occurs[a]++
+			return true
+		})
+	}
 	rows, numAttrs := t.Data.NumRows(), t.Data.NumAttrs()
 	ranked := make([]RankedFD, len(viol))
 	for i, v := range viol {
 		shared := bitset.New(v.Rhs.Size())
-		for j, other := range viol {
-			if i == j {
-				continue
+		v.Rhs.ForEach(func(a int) bool {
+			if occurs[a] > 1 {
+				shared.Add(a)
 			}
-			shared.UnionWithIntersection(v.Rhs, other.Rhs)
-		}
+			return true
+		})
 		ranked[i] = RankedFD{
 			FD:        v,
 			Score:     scoring.FDScoreFromFacts(t.localFD(v), p.scores.facts(v.Lhs, v.Rhs, rows, numAttrs)),
@@ -866,7 +893,20 @@ func (p *run) rankViolatingFDs(t *Table, viol []*fd.FD) []RankedFD {
 		}
 	}
 	sortRankedFDs(ranked)
-	return ranked
+	return ranked, nil
+}
+
+// workPool returns the run's work-stealing pool, created on first use
+// and sized by the Workers option like HyFD's (wsteal.Resolve); nil
+// when the run is serial. NormalizeRelationContext closes it when the
+// run returns.
+func (p *run) workPool() *wsteal.Pool {
+	if p.pool == nil {
+		if w := wsteal.Resolve(p.opts.Workers); w > 1 {
+			p.pool = wsteal.New(w)
+		}
+	}
+	return p.pool
 }
 
 // selectPrimaryKey implements component (7): discover all minimal keys

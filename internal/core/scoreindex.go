@@ -1,16 +1,19 @@
 package core
 
 import (
+	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"normalize/internal/bitset"
+	"normalize/internal/fd"
 	"normalize/internal/pli"
 	"normalize/internal/plicache"
 	"normalize/internal/relation"
 	"normalize/internal/scoring"
+	"normalize/internal/wsteal"
 )
 
 // ScoreMemo is the run's exact scoring facts, keyed by attribute sets
@@ -55,35 +58,53 @@ func ScoreMemoKey(attrs *bitset.Set) string {
 	return b.String()
 }
 
-// scoreIndex computes and memoizes the scoring facts of one run. It is
-// bound to the root table's instance and (when available) its profiling
-// substrate: single attributes read their distinct count straight off
-// the dictionary cardinality, larger sets intersect single-column PLIs
-// most-selective-first (distinct = rows − Size + NumClusters), and max
-// value lengths come from one dictionary-backed row scan per set. A
-// seed memo (Options.ScoreSeed) pre-fills the maps so a delta run never
-// recomputes what its parent already measured.
+// scoreIndex computes and memoizes the scoring facts of one run, bound
+// to the root table's instance and its profiling substrate. Facts are
+// measured in one batch per table (measure) before that table's FDs are
+// scored, so facts only reads the memo. A seed memo (Options.ScoreSeed)
+// pre-fills the maps so a delta run never recomputes what its parent
+// already measured.
+//
+// Single attributes read their distinct count straight off the
+// dictionary cardinality; larger sets are counted by a prefix walk over
+// single-column PLIs (see measure); max value lengths come from one
+// dictionary-backed row scan per set.
 type scoreIndex struct {
-	mu   sync.Mutex
 	data *relation.Relation
 	sub  *plicache.Substrate
+
+	// order lists the attributes by descending dictionary cardinality
+	// (index tie-break) — ascending PLI error, since e(A) = rows − |dom A|
+	// — and rank inverts it. Every intersection chain follows this one
+	// run-wide order, so chains run most-selective-first and sets share
+	// their prefixes.
+	order, rank []int
 
 	distinct map[string]int
 	maxLen   map[string]int
 
-	// ipool lends arena-backed intersectors to concurrent computeDistinct
-	// calls: the intersection chain is consumed before the intersector is
-	// returned, so the arena's transient-result contract holds.
-	ipool sync.Pool
+	// walkers is per-worker walk scratch, indexed by pool slot and kept
+	// across batches.
+	walkers []*walker
 }
 
-// newScoreIndex binds an index to the root instance. sub may be nil
-// (custom discovery skipped the substrate build); distinct counts then
-// fall back to relation.DistinctCount, which is equally exact.
+// newScoreIndex binds an index to the root instance and its substrate.
 func newScoreIndex(data *relation.Relation, sub *plicache.Substrate, seed *ScoreMemo) *scoreIndex {
+	card := sub.Encoded().Cardinality
+	order := make([]int, len(card))
+	for a := range order {
+		order[a] = a
+	}
+	sort.SliceStable(order, func(i, j int) bool { return card[order[i]] > card[order[j]] })
+	rank := make([]int, len(order))
+	for r, a := range order {
+		rank[a] = r
+	}
 	ix := &scoreIndex{
 		data:     data,
 		sub:      sub,
+		order:    order,
+		rank:     rank,
 		distinct: make(map[string]int),
 		maxLen:   make(map[string]int),
 	}
@@ -99,97 +120,195 @@ func newScoreIndex(data *relation.Relation, sub *plicache.Substrate, seed *Score
 }
 
 // facts assembles the data-dependent FDScore inputs of the violating FD
-// lhs → rhs (universal index space) on table instance rows/numAttrs.
+// lhs → rhs (universal index space) on table instance rows/numAttrs. It
+// reads the memo, which measure has filled for every violating FD of
+// the table; the empty set has one (empty) value combination of length
+// 0.
 func (ix *scoreIndex) facts(lhs, rhs *bitset.Set, rows, numAttrs int) scoring.FDFacts {
-	return scoring.FDFacts{
-		Rows:        rows,
-		NumAttrs:    numAttrs,
-		LhsMaxLen:   ix.maxValueLen(lhs),
-		LhsDistinct: ix.distinctCount(lhs),
-		RhsDistinct: ix.distinctCount(rhs),
+	f := scoring.FDFacts{Rows: rows, NumAttrs: numAttrs, LhsDistinct: 1, RhsDistinct: 1}
+	if !lhs.IsEmpty() {
+		key := ScoreMemoKey(lhs)
+		f.LhsMaxLen, f.LhsDistinct = ix.maxLen[key], ix.distinct[key]
 	}
+	if !rhs.IsEmpty() {
+		f.RhsDistinct = ix.distinct[ScoreMemoKey(rhs)]
+	}
+	return f
 }
 
-// distinctCount returns the exact number of distinct value combinations
-// of the set (universal space), memoized. The empty set has one (empty)
-// combination.
-func (ix *scoreIndex) distinctCount(attrs *bitset.Set) int {
-	if attrs.IsEmpty() {
-		return 1
-	}
-	key := ScoreMemoKey(attrs)
-	ix.mu.Lock()
-	if d, ok := ix.distinct[key]; ok {
-		ix.mu.Unlock()
-		return d
-	}
-	ix.mu.Unlock()
-	d := ix.computeDistinct(attrs)
-	ix.mu.Lock()
-	ix.distinct[key] = d
-	ix.mu.Unlock()
-	return d
+// countSet is one attribute set whose distinct count a batch measures:
+// its memo key and its attributes as ascending ranks.
+type countSet struct {
+	key string
+	seq []int
 }
 
-func (ix *scoreIndex) computeDistinct(attrs *bitset.Set) int {
-	if ix.sub == nil {
-		return ix.data.DistinctCount(attrs)
+// lenSet is one attribute set whose max value length a batch measures.
+type lenSet struct {
+	key   string
+	attrs *bitset.Set
+}
+
+// measure fills the memo with every fact the scoring of viol needs and
+// the memo lacks: the distinct count of each non-empty LHS and RHS and
+// the max value length of each non-empty LHS. Only those sets are
+// written, so the memo — and Result.ScoreMemo — holds exactly what a
+// per-FD computation would have measured.
+//
+// Distinct counts are taken by one walk over all missing sets, each
+// spelled as its attributes in rank order and sorted lexicographically,
+// as a prefix trie: every shared prefix is intersected once, and a set
+// that no other set extends takes its last step count-only
+// (pli.IntersectCount). The walk splits at the first two attributes
+// into independent tasks, which run together with the max-length scans
+// on pool (serially when pool is nil); each task writes only its own
+// result slots, so the batch is deterministic at every worker count.
+func (ix *scoreIndex) measure(ctx context.Context, pool *wsteal.Pool, viol []*fd.FD) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	elems := attrs.Elements()
-	if len(elems) == 1 {
-		return ix.sub.Encoded().Cardinality[elems[0]]
-	}
-	// Intersect most-selective-first so intermediate partitions shrink
-	// as fast as possible (the hyfd validation order).
-	sort.Slice(elems, func(i, j int) bool {
-		ei, ej := ix.sub.PLI(elems[i]).Error(), ix.sub.PLI(elems[j]).Error()
-		if ei != ej {
-			return ei < ej
+	var counts []countSet
+	var lens []lenSet
+	countQueued, lenQueued := make(map[string]bool), make(map[string]bool)
+	wantCount := func(attrs *bitset.Set, key string) {
+		if _, ok := ix.distinct[key]; ok || countQueued[key] {
+			return
 		}
-		return elems[i] < elems[j]
-	})
-	rows := ix.sub.NumRows()
-	p := ix.sub.PLI(elems[0])
-	isx, _ := ix.ipool.Get().(*pli.Intersector)
-	if isx == nil {
-		isx = pli.NewArenaIntersector()
+		countQueued[key] = true
+		seq := make([]int, 0, attrs.Cardinality())
+		attrs.ForEach(func(a int) bool {
+			seq = append(seq, ix.rank[a])
+			return true
+		})
+		slices.Sort(seq)
+		counts = append(counts, countSet{key: key, seq: seq})
 	}
-	defer ix.ipool.Put(isx)
-	for _, a := range elems[1:] {
-		if p.IsUnique() {
-			return rows
+	for _, v := range viol {
+		if !v.Lhs.IsEmpty() {
+			key := ScoreMemoKey(v.Lhs)
+			wantCount(v.Lhs, key)
+			if _, ok := ix.maxLen[key]; !ok && !lenQueued[key] {
+				lenQueued[key] = true
+				lens = append(lens, lenSet{key: key, attrs: v.Lhs})
+			}
 		}
-		p = isx.IntersectInverted(p, ix.sub.Inverted(a))
+		if !v.Rhs.IsEmpty() {
+			wantCount(v.Rhs, ScoreMemoKey(v.Rhs))
+		}
 	}
-	// Stripped singletons each hold a distinct combination; every
-	// surviving cluster holds exactly one more.
-	return rows - p.Size() + p.NumClusters()
+	slices.SortFunc(counts, func(a, b countSet) int { return slices.Compare(a.seq, b.seq) })
+
+	// Single attributes are answered by their cardinality; the rest form
+	// one task per run of sets sharing their first two ranks.
+	distinct := make([]int, len(counts))
+	var groups [][2]int // [lo, hi) into counts
+	for i := 0; i < len(counts); {
+		c := counts[i]
+		if len(c.seq) == 1 {
+			distinct[i] = ix.sub.Encoded().Cardinality[ix.order[c.seq[0]]]
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(counts) && len(counts[j].seq) > 1 && counts[j].seq[0] == c.seq[0] && counts[j].seq[1] == c.seq[1] {
+			j++
+		}
+		groups = append(groups, [2]int{i, j})
+		i = j
+	}
+	maxLen := make([]int, len(lens))
+
+	slots := 1
+	if pool != nil {
+		slots = pool.Workers()
+	}
+	for len(ix.walkers) < slots {
+		ix.walkers = append(ix.walkers, &walker{ix: ix, bufs: make([]pli.Buffer, len(ix.order))})
+	}
+	task := func(i, slot int) error {
+		if i < len(groups) {
+			lo, hi := groups[i][0], groups[i][1]
+			ix.walkers[slot].walk(ix.sub.PLI(ix.order[counts[lo].seq[0]]), 1, counts[lo:hi], distinct[lo:hi])
+			return nil
+		}
+		i -= len(groups)
+		maxLen[i] = ix.data.MaxValueLen(lens[i].attrs)
+		return nil
+	}
+	n := len(groups) + len(lens)
+	if pool != nil {
+		if err := pool.Run(ctx, "score-batch", n, task, nil); err != nil {
+			return err
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			task(i, 0)
+		}
+	}
+
+	for i, c := range counts {
+		ix.distinct[c.key] = distinct[i]
+	}
+	for i, l := range lens {
+		ix.maxLen[l.key] = maxLen[i]
+	}
+	return nil
 }
 
-// maxValueLen returns the exact maximum summed value length of the set
-// (universal space), memoized. 0 for the empty set.
-func (ix *scoreIndex) maxValueLen(attrs *bitset.Set) int {
-	if attrs.IsEmpty() {
-		return 0
+// walker is one worker's scratch for the prefix walk: one intersector
+// (its counter/cursor pair) and one result buffer per walk depth, all
+// reused across tasks and batches.
+type walker struct {
+	ix   *scoreIndex
+	isx  pli.Intersector
+	bufs []pli.Buffer
+}
+
+// walk counts sets — sorted lexicographically, each holding at least
+// depth ranks, all sharing their first depth ranks, whose partition is
+// p — into out. A set equal to the prefix reads its count off p; an
+// extension by one attribute that no other set extends further takes
+// one count-only step; every other extension is intersected once into
+// the next depth's buffer and walked with its extensions.
+func (w *walker) walk(p *pli.PLI, depth int, sets []countSet, out []int) {
+	rows := w.ix.sub.NumRows()
+	if p.IsUnique() {
+		// Every row is its own combination, on every extension too.
+		for i := range out {
+			out[i] = rows
+		}
+		return
 	}
-	key := ScoreMemoKey(attrs)
-	ix.mu.Lock()
-	if l, ok := ix.maxLen[key]; ok {
-		ix.mu.Unlock()
-		return l
+	i := 0
+	if len(sets[0].seq) == depth {
+		// Stripped singletons each hold a distinct combination; every
+		// surviving cluster holds exactly one more.
+		out[0] = rows - p.Size() + p.NumClusters()
+		i = 1
 	}
-	ix.mu.Unlock()
-	l := ix.data.MaxValueLen(attrs)
-	ix.mu.Lock()
-	ix.maxLen[key] = l
-	ix.mu.Unlock()
-	return l
+	for i < len(sets) {
+		r := sets[i].seq[depth]
+		j := i + 1
+		for j < len(sets) && sets[j].seq[depth] == r {
+			j++
+		}
+		inv := w.ix.sub.Inverted(w.ix.order[r])
+		if j == i+1 && len(sets[i].seq) == depth+1 {
+			size, clusters := w.isx.IntersectCount(p, inv)
+			out[i] = rows - size + clusters
+		} else {
+			next := w.isx.IntersectInto(&w.bufs[depth], p, inv)
+			w.walk(next, depth+1, sets[i:j], out[i:j])
+		}
+		i = j
+	}
 }
 
 // memo snapshots the measured facts for Result.ScoreMemo.
 func (ix *scoreIndex) memo() *ScoreMemo {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	m := &ScoreMemo{
 		Distinct: make(map[string]int, len(ix.distinct)),
 		MaxLen:   make(map[string]int, len(ix.maxLen)),

@@ -39,7 +39,6 @@ package hyfd
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -55,15 +54,6 @@ import (
 	"normalize/internal/settrie"
 	"normalize/internal/wsteal"
 )
-
-// effectiveWorkers resolves the validation worker count: Workers when
-// positive, GOMAXPROCS otherwise, clamped to the host's CPUs.
-func (o Options) effectiveWorkers() int {
-	if o.Workers > 0 {
-		return wsteal.ClampWorkers(o.Workers)
-	}
-	return wsteal.ClampWorkers(runtime.GOMAXPROCS(0))
-}
 
 // Options configures discovery.
 type Options struct {
@@ -239,7 +229,7 @@ func newDiscoverer(ctx context.Context, rel *relation.Relation, opts Options) (*
 	// One persistent work-stealing pool serves the whole run: PLI
 	// prewarm, pair sampling, and every validation level. Workers park
 	// between batches instead of respawning per level.
-	if workers := opts.effectiveWorkers(); workers > 1 {
+	if workers := wsteal.Resolve(opts.Workers); workers > 1 {
 		d.pool = wsteal.New(workers)
 		d.workersSpawned = int64(workers)
 	}

@@ -43,9 +43,22 @@ func TestRunTable3RowShape(t *testing.T) {
 }
 
 func TestRunNaiveComparisonOrdering(t *testing.T) {
-	row, err := RunNaiveComparison(context.Background(), tinySpec(), 1500)
-	if err != nil {
-		t.Fatal(err)
+	// One wall-clock sample per algorithm is at the mercy of a single
+	// preemption on a loaded host, so each algorithm's time is its
+	// minimum over several comparisons.
+	var row NaiveRow
+	for i := 0; i < 5; i++ {
+		r, err := RunNaiveComparison(context.Background(), tinySpec(), 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			row = r
+			continue
+		}
+		row.Naive = min(row.Naive, r.Naive)
+		row.Improved = min(row.Improved, r.Improved)
+		row.Optimized = min(row.Optimized, r.Optimized)
 	}
 	// The cubic baseline must not beat the optimized algorithm on a
 	// non-trivial input (the paper's headline result). Timing on tiny

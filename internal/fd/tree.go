@@ -120,11 +120,10 @@ func (t *Tree) ViolatedBy(agree *bitset.Set) []FD {
 }
 
 func (t *Tree) violatedBy(n *treeNode, agree *bitset.Set, after int, prefix []int, out *[]FD) {
-	if !n.rhs.IsEmpty() {
-		bad := n.rhs.Difference(agree)
-		if !bad.IsEmpty() {
-			*out = append(*out, FD{Lhs: bitset.Of(t.numAttrs, prefix...), Rhs: bad})
-		}
+	// Test before building the difference: most visited nodes are not
+	// violated, and the subset test allocates nothing.
+	if !n.rhs.IsSubsetOf(agree) {
+		*out = append(*out, FD{Lhs: bitset.Of(t.numAttrs, prefix...), Rhs: n.rhs.Difference(agree)})
 	}
 	for e := agree.NextAfter(after); e >= 0; e = agree.NextAfter(e) {
 		if c := n.children[e]; c != nil {

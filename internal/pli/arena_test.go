@@ -111,6 +111,34 @@ func TestQuickFromColumnMatchesMapGrouping(t *testing.T) {
 	}
 }
 
+// TestQuickIntersectCountMatchesInverted: the count-only intersection
+// reports exactly the Size and NumClusters of the materialized product
+// on the same operands, and a product carved from a caller-owned Buffer
+// equals the allocating path's.
+func TestQuickIntersectCountMatchesInverted(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	var counter, plain Intersector
+	var buf Buffer
+	f := func() bool {
+		n := 2 + r.Intn(120)
+		cx, cy := 1+r.Intn(12), 1+r.Intn(12)
+		x, y := make([]int, n), make([]int, n)
+		for i := range x {
+			x[i], y[i] = r.Intn(cx), r.Intn(cy)
+		}
+		px, py := FromColumn(x, cx), FromColumn(y, cy)
+		inv := py.Inverted()
+		want := plain.IntersectInverted(px, inv)
+		size, clusters := counter.IntersectCount(px, inv)
+		into := counter.IntersectInto(&buf, px, inv)
+		return size == want.Size() && clusters == want.NumClusters() &&
+			reflect.DeepEqual(snapshotClusters(into), snapshotClusters(want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestArenaIntersectorConcurrentSlots runs one arena intersector per
 // goroutine (the per-slot ownership model of the work-stealing
 // validation) under -race, checking each slot's results against the

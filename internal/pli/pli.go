@@ -263,8 +263,9 @@ func (p *PLI) Error() int { return p.size - len(p.clusters) }
 // plus an optional two-generation result arena. Reusing one Intersector
 // across the candidates of a validation level eliminates every
 // per-candidate allocation except the result clusters themselves — and
-// with an arena (NewArenaIntersector) even those come from reused
-// slabs, making steady-state intersection allocation-free.
+// with an arena (NewArenaIntersector) or caller-owned Buffers
+// (IntersectInto) even those come from reused slabs, making
+// steady-state intersection allocation-free.
 //
 // An Intersector is not safe for concurrent use — parallel validation
 // gives each worker its own.
@@ -276,15 +277,24 @@ type Intersector struct {
 	arena *arena // nil: results own their memory
 }
 
-// arena is a two-generation slab allocator for intersection results.
-// Generations alternate per call, so a result stays valid while it is
-// the input of the next intersection — exactly the lifetime of the
-// left-deep intersection chains validation builds. See
-// NewArenaIntersector for the full contract.
+// Buffer is reusable memory for one intersection result: the row slab
+// and the cluster headers carved from it. IntersectInto overwrites it,
+// so a result carved from a Buffer is valid until the Buffer's next use
+// — callers must not retain it beyond that, mutate it, or call Inverted
+// on it. The zero value is ready to use.
+type Buffer struct {
+	slab  []int
+	heads [][]int
+}
+
+// arena is a two-generation result allocator: generations alternate per
+// call, so a result stays valid while it is the input of the next
+// intersection — exactly the lifetime of the left-deep intersection
+// chains validation builds. See NewArenaIntersector for the full
+// contract.
 type arena struct {
-	slabs [2][]int
-	heads [2][][]int
-	flip  int
+	gens [2]Buffer
+	flip int
 }
 
 // NewArenaIntersector returns an Intersector whose results are carved
@@ -295,9 +305,10 @@ type arena struct {
 // callers must not retain it, mutate it, or call Inverted on it. That
 // covers the validation pattern — intersect a chain most-selective-first,
 // inspect the final product, move to the next candidate — which is why
-// HyFD (from scratch and revalidating) and the score index use it. Callers
-// that keep partitions across candidates (TANE's level-wise refinement)
-// must use a zero-value Intersector instead.
+// HyFD (from scratch and revalidating) uses it. Callers that keep
+// partitions across candidates (TANE's level-wise refinement) must use
+// a zero-value Intersector instead; callers that keep one partition per
+// depth of a prefix walk give each depth its own Buffer (IntersectInto).
 func NewArenaIntersector() *Intersector {
 	return &Intersector{arena: new(arena)}
 }
@@ -317,19 +328,57 @@ func (ix *Intersector) ensure(numRows int) {
 // deterministic (first-touch order per cluster of p, identical to the
 // historical map-based implementation).
 func (ix *Intersector) IntersectInverted(p *PLI, inv []int) *PLI {
-	ix.ensure(p.numRows)
-	var slab []int
-	var heads [][]int
 	if a := ix.arena; a != nil {
 		// Flip generations: the buffer being overwritten is the one from
 		// two calls ago, so the immediately preceding result (often the
 		// p of this call) stays intact.
 		a.flip ^= 1
-		if cap(a.slabs[a.flip]) < p.size {
-			a.slabs[a.flip] = make([]int, p.size)
+		return ix.IntersectInto(&a.gens[a.flip], p, inv)
+	}
+	return ix.IntersectInto(nil, p, inv)
+}
+
+// IntersectCount returns Size() and NumClusters() of p ∩ inv without
+// materializing the product: the counting pass of IntersectInverted
+// alone, with no cursor pass and no row writes. A distinct count — rows
+// minus Size plus NumClusters — needs nothing more from the last step
+// of its intersection chain.
+func (ix *Intersector) IntersectCount(p *PLI, inv []int) (size, clusters int) {
+	ix.ensure(p.numRows)
+	for _, cluster := range p.clusters {
+		for _, row := range cluster {
+			if id := inv[row]; id >= 0 {
+				if ix.cnt[id] == 0 {
+					ix.touched = append(ix.touched, id)
+				}
+				ix.cnt[id]++
+			}
 		}
-		slab = a.slabs[a.flip][:p.size]
-		heads = a.heads[a.flip][:0]
+		for _, id := range ix.touched {
+			if c := ix.cnt[id]; c >= 2 {
+				size += c
+				clusters++
+			}
+			ix.cnt[id] = 0
+		}
+		ix.touched = ix.touched[:0]
+	}
+	return size, clusters
+}
+
+// IntersectInto is IntersectInverted with the result carved from buf
+// (see Buffer for its lifetime), independent of the Intersector's arena;
+// with a nil buf the result owns fresh memory.
+func (ix *Intersector) IntersectInto(buf *Buffer, p *PLI, inv []int) *PLI {
+	ix.ensure(p.numRows)
+	var slab []int
+	var heads [][]int
+	if buf != nil {
+		if cap(buf.slab) < p.size {
+			buf.slab = make([]int, p.size)
+		}
+		slab = buf.slab[:p.size]
+		heads = buf.heads[:0]
 	} else {
 		slab = make([]int, p.size)
 	}
@@ -365,8 +414,8 @@ func (ix *Intersector) IntersectInverted(p *PLI, inv []int) *PLI {
 			}
 		}
 	}
-	if a := ix.arena; a != nil {
-		a.heads[a.flip] = heads
+	if buf != nil {
+		buf.heads = heads
 	} else if off*2 < len(slab) {
 		// The result owns its memory; don't let small products pin a
 		// slab sized for the input. Clusters were carved sequentially,

@@ -226,7 +226,8 @@ func (j *Job) markRunning(cancel context.CancelFunc) bool {
 }
 
 // finish records the terminal state and closes the event stream. The
-// final "state" event doubles as the SSE terminator.
+// final "state" event doubles as the SSE terminator. The run's result
+// record, if any, is already persisted (manager.complete).
 func (j *Job) finish(state State, res *normalize.Result, err error) {
 	j.mu.Lock()
 	j.state = state
@@ -245,12 +246,6 @@ func (j *Job) finish(state State, res *normalize.Result, err error) {
 		data.Degradations = len(res.Degradations)
 	}
 	j.mu.Unlock()
-	// Write-ahead order: the result payload lands before the terminal
-	// state record. A crash between the two leaves an orphan result the
-	// re-run overwrites — never a terminal job missing its result.
-	if res != nil {
-		j.p.result(j.ID, j.spec.key, res)
-	}
 	j.p.state(j.ID, state, finished, data.Error, skipped)
 	j.bus.publish(eventState, data)
 	j.bus.close()
@@ -529,13 +524,12 @@ func (m *manager) runJob(job *Job) {
 	if job.spec.delta() {
 		res, err := m.normalizeDelta(ctx, job.spec, opts)
 		obs.flush()
-		job.finish(classify(res, err))
-		if job.State() == StateDone {
-			m.cache.put(job.spec.key, res)
-			// The lineage edge lands only after the result record (finish
-			// persisted it): a crash in between leaves a resolvable child
-			// missing its edge, which the re-run restores idempotently —
-			// never an edge pointing at a result the log doesn't hold.
+		if m.complete(job, res, err) == StateDone {
+			// The lineage edge lands only after the result record
+			// (complete persisted it): a crash in between leaves a
+			// resolvable child missing its edge, which the re-run restores
+			// idempotently — never an edge pointing at a result the log
+			// doesn't hold.
 			m.p.lineage(job.spec.parentKey, deltaHash(job.spec.csv), job.spec.key, job.ID)
 		}
 		return
@@ -544,7 +538,7 @@ func (m *manager) runJob(job *Job) {
 	rel, skipped, err := job.spec.relations(ctx, observers, m.spillDir)
 	if err != nil {
 		obs.flush()
-		job.finish(classify(nil, err))
+		m.complete(job, nil, err)
 		return
 	}
 	if len(skipped) > 0 {
@@ -555,10 +549,27 @@ func (m *manager) runJob(job *Job) {
 
 	res, err := normalize.NormalizeContext(ctx, rel, opts)
 	obs.flush()
-	job.finish(classify(res, err))
-	if state := job.State(); state == StateDone {
+	m.complete(job, res, err)
+}
+
+// complete ends a run and returns its terminal state. Write-ahead order:
+// the result record lands before the terminal state record, so a crash
+// between the two leaves an orphan result the re-run overwrites — never
+// a terminal job missing its result. A done run's result enters the
+// cache after its record is persisted (a cache hit's result resolves
+// through the key to that record) and before the job reads as terminal,
+// so a client that sees the job done and resubmits at once is served
+// from the cache.
+func (m *manager) complete(job *Job, res *normalize.Result, err error) State {
+	state, res, err := classify(res, err)
+	if res != nil {
+		m.p.result(job.ID, job.spec.key, res)
+	}
+	if state == StateDone {
 		m.cache.put(job.spec.key, res)
 	}
+	job.finish(state, res, err)
+	return state
 }
 
 // normalizeDelta runs the incremental path: rebuild the parent's

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -304,6 +305,35 @@ func TestCacheServesIdenticalResubmission(t *testing.T) {
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/jobs/"+second.ID+"/events", nil))
 	if !strings.Contains(rr.Body.String(), `"cached":true`) {
 		t.Errorf("cached job SSE stream missing cached state event: %q", rr.Body.String())
+	}
+}
+
+// TestCacheFilledBeforeJobReadsDone: a client that sees a job done and
+// resubmits at once must be served from the cache, so the entry has to
+// exist by the time the job reads as terminal. Each round submits a
+// fresh input to a persisting server, spins on the job's state without
+// sleeping, and checks the cache the moment the state turns terminal;
+// persistence widens any window between the two, so a cache put that
+// trails the state change fails within a few rounds.
+func TestCacheFilledBeforeJobReadsDone(t *testing.T) {
+	s := testServer(t, Config{Workers: 1, DataDir: t.TempDir()})
+	h := s.Handler()
+	for round := 0; round < 50; round++ {
+		csv := addressCSV + fmt.Sprintf("Round,Robin,%05d,Town%d,Mayor%d\n", round, round, round)
+		st := submit(t, h, csvBody(csv, ""))
+		job, ok := s.m.Get(st.ID)
+		if !ok {
+			t.Fatalf("round %d: job %s not registered", round, st.ID)
+		}
+		for !job.State().Terminal() {
+			runtime.Gosched()
+		}
+		if state := job.State(); state != StateDone {
+			t.Fatalf("round %d: job ended %s", round, state)
+		}
+		if _, ok := s.m.cache.get(job.spec.key); !ok {
+			t.Fatalf("round %d: job reads done before its result is cached", round)
+		}
 	}
 }
 

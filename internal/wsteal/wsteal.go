@@ -60,6 +60,17 @@ func ClampWorkers(w int) int {
 	return w
 }
 
+// Resolve returns the worker count a Workers option asks for: the
+// request when positive, GOMAXPROCS otherwise, clamped to the host's
+// CPUs (ClampWorkers). Every pool the pipeline sizes from its Workers
+// option — HyFD's and the pipeline's own — resolves through it.
+func Resolve(requested int) int {
+	if requested > 0 {
+		return ClampWorkers(requested)
+	}
+	return ClampWorkers(runtime.GOMAXPROCS(0))
+}
+
 // Pool is a fixed-size set of persistent worker goroutines executing
 // Run batches with work stealing. A Pool is cheap enough to create per
 // discovery run; Close releases the goroutines. Run must not be called

@@ -256,3 +256,23 @@ func settle(t *testing.T, baseline int) {
 	}
 	t.Errorf("goroutines did not settle: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
+
+// TestResolve pins the worker rule every Workers option resolves
+// through: a positive request clamped to the host's CPUs, GOMAXPROCS
+// (clamped the same way) for zero or a negative request. It only
+// computes counts; no pool is started.
+func TestResolve(t *testing.T) {
+	cpus := runtime.NumCPU()
+	procs := min(runtime.GOMAXPROCS(0), cpus)
+	for _, c := range []struct{ requested, want int }{
+		{1, 1},
+		{cpus, cpus},
+		{cpus + 7, cpus},
+		{0, procs},
+		{-3, procs},
+	} {
+		if got := Resolve(c.requested); got != c.want {
+			t.Errorf("Resolve(%d) = %d, want %d", c.requested, got, c.want)
+		}
+	}
+}
