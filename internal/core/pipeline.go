@@ -81,7 +81,7 @@ type Options struct {
 	// SpillDir is the directory for the PLI store's transient spill
 	// file; empty means the OS temp dir. Consulted only when
 	// Budget.MaxMemoryBytes is set — an unconstrained run keeps every
-	// partition resident and never creates the store.
+	// partition resident and never creates a spill file.
 	SpillDir string
 	// ScoreSeed pre-fills the run's exact scoring facts (distinct counts
 	// and max value lengths per attribute set, universal index space).
@@ -184,13 +184,25 @@ func NormalizeRelationContext(ctx context.Context, rel *relation.Relation, opts 
 	if decider == nil {
 		decider = AutoDecider{}
 	}
+	// The run's PLI store holds every partition its engines retain, and
+	// its regime follows the budget. Under a memory ceiling it is
+	// governed: retained partitions rest delta-varint compressed, and
+	// under pressure cold ones spill to a transient file or are dropped
+	// for recompute instead of tripping the budget — discovery
+	// completes exactly where it used to sample. Without one it is
+	// resident: every partition stays flat and uncharged, with no
+	// compression cost.
+	tr := opts.Budget.tracker()
+	st := plistore.New(tr, opts.SpillDir)
+	defer st.Close()
 	p := &run{
 		opts:    opts,
 		obs:     observe.Or(opts.Observer),
 		decider: decider,
-		tr:      opts.Budget.tracker(),
+		tr:      tr,
 		res:     &Result{},
-		cache:   plicache.NewCache(),
+		st:      st,
+		cache:   plicache.NewCache(st),
 	}
 	defer func() {
 		if p.pool != nil {
@@ -199,19 +211,6 @@ func NormalizeRelationContext(ctx context.Context, rel *relation.Relation, opts 
 	}()
 	p.res.Stats.Attrs = rel.NumAttrs()
 	p.res.Stats.Records = rel.NumRows()
-
-	// A memory ceiling attaches the compressed, budget-governed PLI
-	// store to the run's substrate cache: retained partitions rest
-	// delta-varint compressed, and under pressure cold ones spill to a
-	// transient file or are dropped for recompute instead of tripping
-	// the budget — discovery completes exactly where it used to sample.
-	// Unconstrained runs skip the store (and its compression cost)
-	// entirely; every partition stays a flat resident as before.
-	if opts.Budget.MaxMemoryBytes > 0 {
-		p.st = plistore.New(p.tr, opts.SpillDir)
-		p.cache.SetStore(p.st)
-		defer p.st.Close()
-	}
 
 	// Budget rung 0: a row ceiling reduces the input upfront by
 	// deterministic stride sampling. The whole run — including the
@@ -241,8 +240,7 @@ type run struct {
 	// from here, and decomposition registers the children's substrates
 	// derived from the parent's codes instead of re-encoding strings.
 	cache *plicache.Cache
-	// st is the compressed PLI store backing the cache's substrates when
-	// the run has a memory ceiling; nil otherwise.
+	// st is the PLI store behind the cache's substrates.
 	st *plistore.Store
 	// scores memoizes the exact per-attribute-set facts behind candidate
 	// scoring, bound to the root instance after buildRoot.
@@ -313,7 +311,7 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 	}
 
 	root := p.buildRoot(rel, fds)
-	p.scores = newScoreIndex(root.Data, p.cache.Lookup(root.Data), p.opts.ScoreSeed)
+	p.scores = newScoreIndex(root.Data, p.opts.ScoreSeed)
 	usedNames := map[string]bool{root.Name: true}
 
 	// (3)–(6) loop: key derivation, violation detection, selection,
@@ -334,7 +332,7 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 			if t.PrimaryKey != nil {
 				continue
 			}
-			if err := selectPrimaryKey(ctx, t, p.decider, p.opts.Observer, p.tr, p.cache); err != nil {
+			if err := selectPrimaryKey(ctx, t, p.decider, p.opts.Observer, p.cache); err != nil {
 				if ex, ok := isBudgetTrip(err); ok {
 					// A trip skips the remaining tables; without a
 					// primary key they stay as the loop left them.
@@ -561,9 +559,7 @@ func (p *run) flushCacheStats() {
 	if hits != 0 {
 		p.obs.Counter(observe.Discovery, observe.CounterSubstrateHits, hits)
 	}
-	if p.st != nil {
-		p.st.FlushCounters(p.obs, observe.Discovery)
-	}
+	p.st.FlushCounters(p.obs, observe.Discovery)
 }
 
 // deriveChildSubstrates registers the two projections' substrates.
@@ -572,7 +568,7 @@ func (p *run) flushCacheStats() {
 // re-encodes the children's strings.
 func (p *run) deriveChildSubstrates(r1, r2 *Table) {
 	for _, child := range []*Table{r1, r2} {
-		p.cache.PutDerived(child.Data, plicache.New(child.Data.Encode()))
+		p.cache.PutDerived(child.Data)
 	}
 }
 
@@ -742,7 +738,7 @@ func (p *run) buildRoot(rel *relation.Relation, fds *fd.Set) *Table {
 	// The dedup copy's encoding is derived from rel's integer codes, so
 	// it is the root's substrate as it stands.
 	data := rel.DedupCopy(rel.Name)
-	p.cache.PutDerived(data, plicache.New(data.Encode()))
+	p.cache.PutDerived(data)
 	return &Table{
 		Name:        rel.Name,
 		Attrs:       bitset.Full(n),
@@ -912,16 +908,17 @@ func (p *run) workPool() *wsteal.Pool {
 // selectPrimaryKey implements component (7): discover all minimal keys
 // of the table (DUCC-style UCC discovery), drop keys with nulls, rank
 // them (Section 7.1), and let the decider choose. The UCC discovery
-// reports its work counters to obs under the primary-key stage, charges
-// its retained partitions against the run's budget tracker, and draws
-// its encoding and single-column PLIs from the shared substrate cache
-// (a hit for every table the decomposition loop produced).
-func selectPrimaryKey(ctx context.Context, t *Table, decider Decider, obs observe.Observer, tr *budget.Tracker, cache *plicache.Cache) error {
+// reports its work counters to obs under the primary-key stage, and
+// draws its encoding and single-column partitions from the shared
+// substrate cache (a hit for every table the decomposition loop
+// produced), whose store holds — and, when governed, charges — its
+// retained partitions.
+func selectPrimaryKey(ctx context.Context, t *Table, decider Decider, obs observe.Observer, cache *plicache.Cache) error {
 	sub, err := cache.For(ctx, t.Data)
 	if err != nil {
 		return err
 	}
-	uccs, err := ucc.DiscoverContext(ctx, t.Data, ucc.Options{Observer: obs, Budget: tr, Substrate: sub})
+	uccs, err := ucc.DiscoverContext(ctx, t.Data, ucc.Options{Observer: obs, Substrate: sub})
 	if err != nil {
 		return err
 	}

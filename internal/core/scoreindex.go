@@ -6,11 +6,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"normalize/internal/bitset"
 	"normalize/internal/fd"
 	"normalize/internal/pli"
-	"normalize/internal/plicache"
 	"normalize/internal/relation"
 	"normalize/internal/scoring"
 	"normalize/internal/wsteal"
@@ -59,7 +59,7 @@ func ScoreMemoKey(attrs *bitset.Set) string {
 }
 
 // scoreIndex computes and memoizes the scoring facts of one run, bound
-// to the root table's instance and its profiling substrate. Facts are
+// to the root table's instance and its encoding. Facts are
 // measured in one batch per table (measure) before that table's FDs are
 // scored, so facts only reads the memo. A seed memo (Options.ScoreSeed)
 // pre-fills the maps so a delta run never recomputes what its parent
@@ -69,9 +69,21 @@ func ScoreMemoKey(attrs *bitset.Set) string {
 // dictionary cardinality; larger sets are counted by a prefix walk over
 // single-column PLIs (see measure); max value lengths come from one
 // dictionary-backed row scan per set.
+//
+// The index builds each attribute's PLI and inverted index itself, once,
+// on first use, and keeps them flat and uncharged — outside the run's
+// PLI store on purpose. Under a memory ceiling that store is governed,
+// and by the time selection runs the ceiling has no room for them: on
+// the benchmark's orders-governed workload the charges that cannot be
+// evicted hold ~16.9 MB of its 19.92 MB ceiling at the second
+// selection, leaving ~3.0 MB, while the PLIs the walks build total
+// ~3.9 MB (up to 1.0 MB each; ~12.1 MB over all 13 root columns) and
+// the walk pins up to two per worker. Charging them would trip the
+// degradation ladder.
 type scoreIndex struct {
 	data *relation.Relation
-	sub  *plicache.Substrate
+	enc  *relation.Encoded
+	cols []columnPLI
 
 	// order lists the attributes by descending dictionary cardinality
 	// (index tie-break) — ascending PLI error, since e(A) = rows − |dom A|
@@ -88,9 +100,16 @@ type scoreIndex struct {
 	walkers []*walker
 }
 
-// newScoreIndex binds an index to the root instance and its substrate.
-func newScoreIndex(data *relation.Relation, sub *plicache.Substrate, seed *ScoreMemo) *scoreIndex {
-	card := sub.Encoded().Cardinality
+// columnPLI is one attribute's lazily built PLI.
+type columnPLI struct {
+	once sync.Once
+	p    *pli.PLI
+}
+
+// newScoreIndex binds an index to the root instance.
+func newScoreIndex(data *relation.Relation, seed *ScoreMemo) *scoreIndex {
+	enc := data.Encode()
+	card := enc.Cardinality
 	order := make([]int, len(card))
 	for a := range order {
 		order[a] = a
@@ -102,7 +121,8 @@ func newScoreIndex(data *relation.Relation, sub *plicache.Substrate, seed *Score
 	}
 	ix := &scoreIndex{
 		data:     data,
-		sub:      sub,
+		enc:      enc,
+		cols:     make([]columnPLI, len(card)),
 		order:    order,
 		rank:     rank,
 		distinct: make(map[string]int),
@@ -117,6 +137,15 @@ func newScoreIndex(data *relation.Relation, sub *plicache.Substrate, seed *Score
 		}
 	}
 	return ix
+}
+
+// pli returns attribute a's PLI, building it on first use; its
+// inverted index is built on its own first use and cached on the PLI.
+// Safe for concurrent use.
+func (ix *scoreIndex) pli(a int) *pli.PLI {
+	c := &ix.cols[a]
+	c.once.Do(func() { c.p = pli.FromColumn(ix.enc.Columns[a], ix.enc.Cardinality[a]) })
+	return c.p
 }
 
 // facts assembles the data-dependent FDScore inputs of the violating FD
@@ -205,7 +234,7 @@ func (ix *scoreIndex) measure(ctx context.Context, pool *wsteal.Pool, viol []*fd
 	for i := 0; i < len(counts); {
 		c := counts[i]
 		if len(c.seq) == 1 {
-			distinct[i] = ix.sub.Encoded().Cardinality[ix.order[c.seq[0]]]
+			distinct[i] = ix.enc.Cardinality[ix.order[c.seq[0]]]
 			i++
 			continue
 		}
@@ -228,7 +257,7 @@ func (ix *scoreIndex) measure(ctx context.Context, pool *wsteal.Pool, viol []*fd
 	task := func(i, slot int) error {
 		if i < len(groups) {
 			lo, hi := groups[i][0], groups[i][1]
-			ix.walkers[slot].walk(ix.sub.PLI(ix.order[counts[lo].seq[0]]), 1, counts[lo:hi], distinct[lo:hi])
+			ix.walkers[slot].walk(ix.pli(ix.order[counts[lo].seq[0]]), 1, counts[lo:hi], distinct[lo:hi])
 			return nil
 		}
 		i -= len(groups)
@@ -274,7 +303,7 @@ type walker struct {
 // one count-only step; every other extension is intersected once into
 // the next depth's buffer and walked with its extensions.
 func (w *walker) walk(p *pli.PLI, depth int, sets []countSet, out []int) {
-	rows := w.ix.sub.NumRows()
+	rows := w.ix.enc.NumRows
 	if p.IsUnique() {
 		// Every row is its own combination, on every extension too.
 		for i := range out {
@@ -295,7 +324,7 @@ func (w *walker) walk(p *pli.PLI, depth int, sets []countSet, out []int) {
 		for j < len(sets) && sets[j].seq[depth] == r {
 			j++
 		}
-		inv := w.ix.sub.Inverted(w.ix.order[r])
+		inv := w.ix.pli(w.ix.order[r]).Inverted()
 		if j == i+1 && len(sets[i].seq) == depth+1 {
 			size, clusters := w.isx.IntersectCount(p, inv)
 			out[i] = rows - size + clusters

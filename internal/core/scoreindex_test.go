@@ -13,7 +13,6 @@ import (
 	"normalize/internal/datagen"
 	"normalize/internal/fd"
 	"normalize/internal/observe"
-	"normalize/internal/plicache"
 	"normalize/internal/relation"
 	"normalize/internal/wsteal"
 )
@@ -152,11 +151,11 @@ func TestScoreBatchMatchesRelationScans(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(101 + ci)))
 				rel := scoreBatchRelation(r, tc.rows, tc.cards, tc.nullRate)
 				var seed *ScoreMemo
-				probe := newScoreIndex(rel, plicache.New(rel.Encode()), nil)
+				probe := newScoreIndex(rel, nil)
 				if tc.seed != nil {
 					seed = tc.seed(probe.order)
 				}
-				ix := newScoreIndex(rel, plicache.New(rel.Encode()), seed)
+				ix := newScoreIndex(rel, seed)
 				viol := tc.sets(r, ix.order)
 				var pool *wsteal.Pool
 				if workers > 1 {

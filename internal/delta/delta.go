@@ -34,6 +34,7 @@ import (
 	"normalize/internal/discovery/hyfd"
 	"normalize/internal/fd"
 	"normalize/internal/observe"
+	"normalize/internal/pli"
 	"normalize/internal/plicache"
 	"normalize/internal/relation"
 )
@@ -134,7 +135,9 @@ func Normalize(ctx context.Context, base *relation.Relation, rows [][]string, pa
 	}
 
 	opts := cfg.Options
-	opts.ScoreSeed = maintainMemo(parent.ScoreMemo, combined.Columnar(), sub, baseRows)
+	if opts.ScoreSeed, err = maintainMemo(parent.ScoreMemo, combined.Columnar(), sub, baseRows); err != nil {
+		return nil, nil, err
+	}
 	obs := observe.Or(opts.Observer)
 	opts.DiscoverContext = func(dctx context.Context, rel *relation.Relation) (*fd.Set, error) {
 		hopts := hyfd.Options{MaxLhs: opts.MaxLhs, Workers: opts.Workers, Observer: opts.Observer}
@@ -177,13 +180,17 @@ func Normalize(ctx context.Context, base *relation.Relation, rows [][]string, pa
 // comparing. Max value lengths grow by at most the appended rows' own
 // lengths. Sets the parent never measured are simply absent; the
 // child run computes them fresh, which is equally exact.
-func maintainMemo(parent *core.ScoreMemo, col *relation.Columnar, sub *plicache.Substrate, baseRows int) *core.ScoreMemo {
+func maintainMemo(parent *core.ScoreMemo, col *relation.Columnar, sub *plicache.Substrate, baseRows int) (*core.ScoreMemo, error) {
 	memo := &core.ScoreMemo{
 		Distinct: make(map[string]int, len(parent.Distinct)),
 		MaxLen:   make(map[string]int, len(parent.MaxLen)),
 	}
 	enc := sub.Encoded()
 	total := enc.NumRows
+	// A column partition is acquired when a set first needs it and held
+	// until every set is counted. The rest are left for revalidation,
+	// which builds them on the worker pool.
+	parts := make([]*pli.PLI, len(enc.Columns))
 	for key, d := range parent.Distinct {
 		attrs := parseMemoKey(key, len(enc.Columns))
 		if attrs == nil {
@@ -194,7 +201,20 @@ func maintainMemo(parent *core.ScoreMemo, col *relation.Columnar, sub *plicache.
 			memo.Distinct[key] = enc.Cardinality[attrs[0]]
 			continue
 		}
-		memo.Distinct[key] = d + countNewCombos(sub, attrs, baseRows)
+		for _, a := range attrs {
+			if parts[a] != nil {
+				continue
+			}
+			h, err := sub.Handle(a)
+			if err != nil {
+				return nil, err
+			}
+			if parts[a], err = h.Acquire(); err != nil {
+				return nil, err
+			}
+			defer h.Release() // at most once per attribute
+		}
+		memo.Distinct[key] = d + countNewCombos(enc, parts, attrs, baseRows)
 	}
 	for key, l := range parent.MaxLen {
 		attrs := parseMemoKey(key, len(enc.Columns))
@@ -213,13 +233,13 @@ func maintainMemo(parent *core.ScoreMemo, col *relation.Columnar, sub *plicache.
 		}
 		memo.MaxLen[key] = maxLen
 	}
-	return memo
+	return memo, nil
 }
 
 // countNewCombos counts appended rows introducing a value combination
-// over attrs that no earlier row (base or prior appended) holds.
-func countNewCombos(sub *plicache.Substrate, attrs []int, baseRows int) int {
-	enc := sub.Encoded()
+// over attrs that no earlier row (base or prior appended) holds; parts
+// holds the partition of every attribute in attrs.
+func countNewCombos(enc *relation.Encoded, parts []*pli.PLI, attrs []int, baseRows int) int {
 	total := enc.NumRows
 	// Pivot on the most selective member: its clusters are the shortest
 	// candidate lists an appended row has to be compared against.
@@ -229,11 +249,11 @@ func countNewCombos(sub *plicache.Substrate, attrs []int, baseRows int) int {
 			pivot = a
 		}
 	}
-	pivotClusters := sub.PLI(pivot).Clusters()
-	pivotInv := sub.Inverted(pivot)
+	pivotClusters := parts[pivot].Clusters()
+	pivotInv := parts[pivot].Inverted()
 	inv := make([][]int, len(attrs))
 	for i, a := range attrs {
-		inv[i] = sub.Inverted(a)
+		inv[i] = parts[a].Inverted()
 	}
 	count := 0
 rows:

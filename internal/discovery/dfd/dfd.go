@@ -29,7 +29,6 @@ import (
 	"normalize/internal/budget"
 	"normalize/internal/fd"
 	"normalize/internal/observe"
-	"normalize/internal/pli"
 	"normalize/internal/plicache"
 	"normalize/internal/plistore"
 	"normalize/internal/relation"
@@ -39,20 +38,19 @@ import (
 type Options struct {
 	// MaxLhs bounds the size of left-hand sides; 0 means unbounded.
 	MaxLhs int
-	// Substrate, when non-nil, supplies the pre-built dictionary
-	// encoding and single-column PLIs of the relation (see
-	// internal/plicache), sharing one build across pipeline stages — and,
-	// when a compressed PLI store is attached to it, hands DFD's cached
-	// partitions to that store instead of keeping them flat residents.
-	// It must describe exactly the relation passed to discovery.
+	// Substrate, when non-nil, supplies the dictionary encoding and
+	// single-column partitions of the relation (see internal/plicache),
+	// sharing one build across pipeline stages; DFD's cached partitions
+	// go to its store. It must describe exactly the relation passed to
+	// discovery.
 	Substrate *plicache.Substrate
 	// Observer receives work counters under the fd-discovery stage;
 	// nil means no instrumentation.
 	Observer observe.Observer
-	// Budget, when non-nil, charges verified dependencies and cached
-	// partitions against run-wide ceilings; a trip aborts discovery
-	// with a *budget.Exceeded error. DFD's memory is dominated by the
-	// PLI cache, so the charge lands on every cache insert.
+	// Budget, when non-nil, charges verified dependencies against
+	// run-wide ceilings; a trip aborts discovery with a
+	// *budget.Exceeded error. The cached partitions go to the
+	// substrate's store, which charges them itself when it is governed.
 	Budget *budget.Tracker
 }
 
@@ -76,10 +74,13 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 		return result, nil
 	}
 	sub := opts.Substrate
-	enc := rel.Encode()
-	if sub != nil {
-		enc = sub.Encoded()
+	if sub == nil {
+		var err error
+		if sub, err = plicache.Build(ctx, rel); err != nil {
+			return nil, err
+		}
 	}
+	enc := sub.Encoded()
 	if enc.NumRows == 0 {
 		result.Add(bitset.New(n), bitset.Full(n))
 		return result.Aggregate().Sort(), nil
@@ -89,29 +90,14 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 		maxLhs = n
 	}
 
-	d := &discoverer{ctx: ctx, done: ctx.Done(), enc: enc, n: n, tr: opts.Budget, plis: make(map[string]*plistore.Handle)}
-	if sub != nil {
-		d.st = sub.Store()
-	}
+	d := &discoverer{ctx: ctx, done: ctx.Done(), enc: enc, n: n, tr: opts.Budget, st: sub.Store(), plis: make(map[string]*plistore.Handle)}
 	defer d.flushCounters(observe.Or(opts.Observer))
 	for a := 0; a < n; a++ {
-		var h *plistore.Handle
-		if sub != nil {
-			var err error
-			if h, err = sub.Handle(a); err != nil {
-				return nil, err
-			}
-		} else {
-			h = plistore.Resident(pli.FromColumn(enc.Columns[a], enc.Cardinality[a]))
+		h, err := sub.Handle(a)
+		if err != nil {
+			return nil, err
 		}
 		d.plis[bitset.Of(n, a).Key()] = h
-		if d.st == nil {
-			// Flat resident partitions charge here; store-backed ones
-			// charge (and evict) themselves.
-			if err := opts.Budget.Grow(8*int64(h.Size()) + 64); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	for a := 0; a < n; a++ {
@@ -132,7 +118,7 @@ type discoverer struct {
 	enc     *relation.Encoded
 	n       int
 	tr      *budget.Tracker
-	st      *plistore.Store             // nil: cached partitions stay flat residents
+	st      *plistore.Store             // holds the cached intersected partitions
 	tripped error                       // first budget trip inside an error-less helper
 	plis    map[string]*plistore.Handle // PLI cache, keyed by attribute-set key
 
@@ -268,21 +254,9 @@ func (d *discoverer) trip(err error) {
 	}
 }
 
-// putPart registers an intersected partition: compressed into the
-// store when one governs the run, flat resident (charged) otherwise.
-func (d *discoverer) putPart(p *pli.PLI) (*plistore.Handle, error) {
-	if d.st != nil {
-		return d.st.Put(p)
-	}
-	if err := d.tr.Grow(8*int64(p.Size()) + 64); err != nil {
-		return nil, err
-	}
-	return plistore.Resident(p), nil
-}
-
 // pliFor returns the cached PLI of x, computing it from the largest
 // cached subset plus single-column intersections when absent. Each
-// cache insert is charged against the budget; a trip is parked in
+// cache insert goes to the store, whose budget trip is parked in
 // d.tripped (the refinement-check callers have no error return) and
 // the classification loop in findLhss surfaces it.
 func (d *discoverer) pliFor(x *bitset.Set) *plistore.Handle {
@@ -323,7 +297,7 @@ func (d *discoverer) pliFor(x *bitset.Set) *plistore.Handle {
 			hb.Release()
 			h.Release()
 			d.plisIntersected++
-			nh, err := d.putPart(product)
+			nh, err := d.st.Put(product)
 			if err != nil {
 				d.trip(err)
 				return nil

@@ -68,12 +68,13 @@ type Options struct {
 	// deterministically, so every worker count produces byte-identical
 	// covers.
 	Workers int
-	// Substrate, when non-nil, supplies the pre-built dictionary
-	// encoding and single-column PLIs of rel (see internal/plicache),
-	// sharing one build across the pipeline's stages. It must describe
-	// exactly rel. Budget charging is unchanged: discovery still charges
-	// the encoded input and per-attribute indexes, so resource ceilings
-	// behave identically with and without a substrate.
+	// Substrate, when non-nil, supplies the dictionary encoding and
+	// single-column partitions of rel (see internal/plicache), sharing
+	// one build across the pipeline's stages. It must describe exactly
+	// rel. Its store owns the partitions' memory: a governed store
+	// charges them against its tracker and evicts them under pressure,
+	// a resident one keeps them flat and uncharged. Nil wraps rel's
+	// encoding in a substrate with a resident store.
 	Substrate *plicache.Substrate
 	// Observer receives per-stage work counters (under the
 	// fd-discovery stage); nil means no instrumentation.
@@ -222,7 +223,7 @@ func newDiscoverer(ctx context.Context, rel *relation.Relation, opts Options) (*
 		tree:    fd.NewTree(n),
 		tr:      opts.Budget,
 		opts:    opts,
-		ix:      pli.NewArenaIntersector(),
+		serial:  new(scratch),
 		full:    bitset.Full(n),
 		outside: bitset.New(n),
 	}
@@ -232,6 +233,10 @@ func newDiscoverer(ctx context.Context, rel *relation.Relation, opts Options) (*
 	if workers := wsteal.Resolve(opts.Workers); workers > 1 {
 		d.pool = wsteal.New(workers)
 		d.workersSpawned = int64(workers)
+		d.slots = make([]*scratch, workers)
+		for i := range d.slots {
+			d.slots[i] = new(scratch)
+		}
 	}
 	if err := d.buildPLIs(sub); err != nil {
 		d.close()
@@ -293,11 +298,11 @@ type discoverer struct {
 	handles []*plistore.Handle // per-attribute partitions, shared by workers
 	sampler *sampler           // nil when revalidating
 	opts    Options
-	ix      *pli.Intersector   // arena scratch of the serial validation path
-	pool    *wsteal.Pool       // nil on the serial path
-	wixs    []*pli.Intersector // per-worker-slot arena intersectors
-	full    *bitset.Set        // constant {0..n-1}, source for outside
-	outside *bitset.Set        // induct's reusable ¬agree scratch
+	serial  *scratch     // intersection scratch of the serial validation path
+	pool    *wsteal.Pool // nil on the serial path
+	slots   []*scratch   // per-worker-slot intersection scratch
+	full    *bitset.Set  // constant {0..n-1}, source for outside
+	outside *bitset.Set  // induct's reusable ¬agree scratch
 
 	// Revalidation state (see Revalidate); seeds is nil when
 	// discovering from scratch. seeds holds each seed LHS's RHS
@@ -350,20 +355,10 @@ func (d *discoverer) canceled() bool {
 
 // buildPLIs pulls the per-attribute partition handles from the shared
 // substrate (building any that are missing) and prewarms each decoded
-// partition's inverted index. Without a compressed store the handles
-// are flat residents retained for the whole run, so the budget is
-// charged exactly as before the store existed; with a store the
-// compressed entries charge (and evict) themselves.
+// partition's inverted index. The substrate's store owns their memory:
+// a governed store charges (and evicts) the entries itself.
 func (d *discoverer) buildPLIs(sub *plicache.Substrate) error {
 	d.handles = make([]*plistore.Handle, d.n)
-	charge := func(int) error { return nil }
-	if sub == nil || sub.Store() == nil {
-		// Each resident per-attribute index retains roughly two ints per
-		// row. The charge happens in the ordered commit even on the
-		// parallel path, so a budget trips at the same attribute at
-		// every worker count.
-		charge = func(int) error { return d.tr.Grow(16 * int64(d.enc.NumRows)) }
-	}
 	build := func(a int) error {
 		h, err := sub.Handle(a)
 		if err != nil {
@@ -381,16 +376,13 @@ func (d *discoverer) buildPLIs(sub *plicache.Substrate) error {
 	if d.pool != nil {
 		return d.pool.Run(d.ctx, "hyfd pli build", d.n, func(a, _ int) error {
 			return build(a)
-		}, charge)
+		}, nil)
 	}
 	for a := 0; a < d.n; a++ {
 		if d.canceled() {
 			return d.ctx.Err()
 		}
 		if err := build(a); err != nil {
-			return err
-		}
-		if err := charge(a); err != nil {
 			return err
 		}
 	}
@@ -593,7 +585,7 @@ func (d *discoverer) check(cands []candidate, process func(verdict) error) error
 			var v verdict
 			if err := guard.Run("hyfd validation", func() error {
 				var err error
-				v, err = d.checkOne(c, d.ix)
+				v, err = d.checkOne(c, d.serial)
 				return err
 			}); err != nil {
 				return err
@@ -605,35 +597,30 @@ func (d *discoverer) check(cands []candidate, process func(verdict) error) error
 		return nil
 	}
 	out := make([]verdict, len(cands))
-	ixs := d.slotIntersectors()
 	return d.pool.Run(d.ctx, "hyfd validation worker", len(cands), func(i, slot int) error {
 		var err error
-		out[i], err = d.checkOne(cands[i], ixs[slot])
+		out[i], err = d.checkOne(cands[i], d.slots[slot])
 		return err
 	}, func(i int) error {
 		return process(out[i])
 	})
 }
 
-// slotIntersectors lazily builds one arena-backed Intersector per pool
-// worker slot; each verdict's partition chain is consumed inside
-// checkOne, so the arena's transient-result contract holds.
-func (d *discoverer) slotIntersectors() []*pli.Intersector {
-	if d.wixs == nil {
-		d.wixs = make([]*pli.Intersector, d.pool.Workers())
-		for i := range d.wixs {
-			d.wixs[i] = pli.NewArenaIntersector()
-		}
-	}
-	return d.wixs
+// scratch is one validation slot's intersection state: an Intersector
+// and the two result Buffers a candidate's chain alternates between.
+// Each verdict's chain is consumed inside checkOne, so a slot reuses
+// both Buffers for every candidate it checks.
+type scratch struct {
+	ix   pli.Intersector
+	bufs [2]pli.Buffer
 }
 
 // checkOne validates a single candidate: it materializes the LHS
-// partition with the caller's scratch Intersector and tests refinement
-// of every RHS column. Acquiring a partition handle can fail under a
-// memory budget (a trip that eviction could not absorb), which surfaces
-// as the error.
-func (d *discoverer) checkOne(c candidate, ix *pli.Intersector) (verdict, error) {
+// partition with the caller's scratch and tests refinement of every
+// RHS column. Acquiring a partition handle can fail under a memory
+// budget (a trip that eviction could not absorb), which surfaces as
+// the error.
+func (d *discoverer) checkOne(c candidate, sc *scratch) (verdict, error) {
 	// One candidate per (LHS, RHS attribute) pair — the unit every
 	// discovery algorithm reports, so counters compare across them.
 	checked := int64(c.rhs.Cardinality())
@@ -655,7 +642,7 @@ func (d *discoverer) checkOne(c candidate, ix *pli.Intersector) (verdict, error)
 		})
 		return v, nil
 	}
-	p, release, err := d.pliFor(c.lhs, ix)
+	p, release, err := d.pliFor(c.lhs, sc)
 	if err != nil {
 		return v, err
 	}
@@ -705,17 +692,17 @@ func (d *discoverer) validationOrder(lhs *bitset.Set) []int {
 }
 
 // pliFor intersects the single-column PLIs of the LHS, most selective
-// first, so intermediate partitions shrink as fast as possible. The
-// acquired handles stay pinned until the returned release is called —
-// the candidate's partition chain (including arena-backed results that
-// borrow the first operand) must be fully consumed before then.
+// first, so intermediate partitions shrink as fast as possible, each
+// step into the other of sc's Buffers. The acquired handles stay pinned
+// until the returned release is called — the candidate's partition
+// chain must be fully consumed before then, and before sc's next use.
 //
 // When revalidating, only clusters holding a row at or after firstNew
 // are kept after every step: any two rows agreeing on the LHS share a
 // cluster of every partition on the way, and a pair of older rows
 // cannot violate a candidate. A nil partition (with a non-nil release)
 // means no cluster survived, so the candidate holds.
-func (d *discoverer) pliFor(lhs *bitset.Set, ix *pli.Intersector) (*pli.PLI, func(), error) {
+func (d *discoverer) pliFor(lhs *bitset.Set, sc *scratch) (*pli.PLI, func(), error) {
 	attrs := d.validationOrder(lhs)
 	acquired := make([]*plistore.Handle, 0, len(attrs))
 	release := func() {
@@ -732,7 +719,7 @@ func (d *discoverer) pliFor(lhs *bitset.Set, ix *pli.Intersector) (*pli.PLI, fun
 	if d.firstNew > 0 {
 		p = d.touched(p)
 	}
-	for _, a := range attrs[1:] {
+	for i, a := range attrs[1:] {
 		if p.IsUnique() {
 			break
 		}
@@ -743,7 +730,7 @@ func (d *discoverer) pliFor(lhs *bitset.Set, ix *pli.Intersector) (*pli.PLI, fun
 			return nil, nil, err
 		}
 		acquired = append(acquired, h)
-		p = ix.IntersectInverted(p, pa.Inverted())
+		p = sc.ix.IntersectInto(&sc.bufs[i&1], p, pa.Inverted())
 		d.plisIntersected.Add(1)
 		if d.firstNew > 0 {
 			p = d.dropOldOnly(p)

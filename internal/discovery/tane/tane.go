@@ -39,11 +39,10 @@ type Options struct {
 	// Observer receives work counters under the fd-discovery stage;
 	// nil means no instrumentation.
 	Observer observe.Observer
-	// Budget, when non-nil, charges discovered FDs and retained lattice
-	// partitions against run-wide ceilings; a trip aborts discovery
-	// with a *budget.Exceeded error. TANE's memory is dominated by the
-	// stripped partitions of the current lattice level, so the charge
-	// lands in candidate generation.
+	// Budget, when non-nil, charges discovered FDs against run-wide
+	// ceilings; a trip aborts discovery with a *budget.Exceeded error.
+	// The retained lattice partitions go to the substrate's store,
+	// which charges them itself when it is governed.
 	Budget *budget.Tracker
 }
 
@@ -141,7 +140,7 @@ type discoverer struct {
 	ctx  context.Context
 	done <-chan struct{}
 	tr   *budget.Tracker
-	st   *plistore.Store // nil: retained partitions stay flat residents
+	st   *plistore.Store // holds the retained lattice partitions
 
 	plisIntersected   int64
 	candidatesChecked int64
@@ -293,30 +292,18 @@ func (d *discoverer) generateNextLevel(survivors map[string]*node, n int) ([]*no
 			b.part.Release()
 			a.part.Release()
 			d.plisIntersected++
-			child := &node{
+			h, err := d.st.Put(part)
+			if err != nil {
+				return nil, err
+			}
+			next = append(next, &node{
 				attrs:      attrs,
 				set:        set,
+				part:       h,
 				err:        part.Error(),
 				cplus:      cplus,
 				parentErrs: parentErrs,
-			}
-			if d.st != nil {
-				// The store compresses the retained child partition and
-				// charges (or evicts) it under the run's budget itself.
-				child.part, err = d.st.Put(part)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				// The retained child partition is the dominant allocation
-				// of the level-wise sweep: one int per row the stripped
-				// partition still holds, plus cluster headers.
-				if err := d.tr.Grow(8*int64(part.Size()) + 64); err != nil {
-					return nil, err
-				}
-				child.part = plistore.Resident(part)
-			}
-			next = append(next, child)
+			})
 		}
 	}
 	return next, nil

@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"normalize/internal/bitset"
-	"normalize/internal/budget"
 	"normalize/internal/observe"
 	"normalize/internal/plicache"
 	"normalize/internal/plistore"
@@ -31,19 +30,17 @@ import (
 type Options struct {
 	// MaxSize bounds the size of reported UCCs; 0 means unbounded.
 	MaxSize int
-	// Substrate, when non-nil, supplies the pre-built dictionary
-	// encoding and single-column PLIs of the relation (see
-	// internal/plicache), sharing one build across pipeline stages. It
-	// must describe exactly the relation passed to discovery. Budget
-	// charging is unchanged with a substrate.
+	// Substrate, when non-nil, supplies the dictionary encoding and
+	// single-column partitions of the relation (see internal/plicache),
+	// sharing one build across pipeline stages. It must describe exactly
+	// the relation passed to discovery. The retained lattice partitions
+	// go to its store, which charges them against the run's budget when
+	// it is governed; a trip aborts discovery with a *budget.Exceeded
+	// error.
 	Substrate *plicache.Substrate
 	// Observer receives work counters under the primary-key-selection
 	// stage; nil means no instrumentation.
 	Observer observe.Observer
-	// Budget, when non-nil, charges retained lattice partitions against
-	// run-wide ceilings; a trip aborts discovery with a
-	// *budget.Exceeded error.
-	Budget *budget.Tracker
 }
 
 type node struct {
@@ -123,7 +120,7 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 	done := ctx.Done()
 	for size := 1; len(level) > 0 && size < maxSize; size++ {
 		var err error
-		level, err = nextLevel(ctx, done, level, &minimal, &result, n, &c, opts.Budget, sub.Store())
+		level, err = nextLevel(ctx, done, level, &minimal, &result, n, &c, sub.Store())
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +134,7 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 // UCCs (minimal because all their subsets are non-unique), and the
 // remaining candidates form the next level.
 func nextLevel(ctx context.Context, done <-chan struct{}, level []*node,
-	minimal *settrie.Trie, result *[]*bitset.Set, n int, c *counters, tr *budget.Tracker, st *plistore.Store) ([]*node, error) {
+	minimal *settrie.Trie, result *[]*bitset.Set, n int, c *counters, st *plistore.Store) ([]*node, error) {
 	sort.Slice(level, func(i, j int) bool {
 		a, b := level[i].attrs, level[j].attrs
 		for k := range a {
@@ -204,19 +201,11 @@ func nextLevel(ctx context.Context, done <-chan struct{}, level []*node,
 				continue
 			}
 			// Non-unique candidates retain their partition for the next
-			// level; that retention is the memory the budget meters —
-			// compressed and evictable when a store governs the run.
-			var h *plistore.Handle
-			if st != nil {
-				h, err = st.Put(part)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				if err := tr.Grow(8*int64(part.Size()) + 64); err != nil {
-					return nil, err
-				}
-				h = plistore.Resident(part)
+			// level; that retention is the memory a governed store
+			// meters, compresses and evicts.
+			h, err := st.Put(part)
+			if err != nil {
+				return nil, err
 			}
 			next = append(next, &node{attrs: attrs, set: set, part: h})
 		}

@@ -30,30 +30,35 @@ func BenchmarkIntersect(b *testing.B) {
 	}
 }
 
-func BenchmarkIntersectInverted(b *testing.B) {
+// BenchmarkIntersectInto is one intersection that owns its result,
+// with fresh scratch per call.
+func BenchmarkIntersectInto(b *testing.B) {
 	x, y := benchColumns(100_000, 100, 1000)
 	px := FromColumn(x, 100)
 	inv := FromColumn(y, 1000).Inverted()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		px.IntersectInverted(inv)
+		new(Intersector).IntersectInto(nil, px, inv)
 	}
 }
 
-// BenchmarkIntersectorReuse is IntersectInverted with the scratch
-// buffers reused across candidates — the shape of level-wise candidate
-// validation. Allocations per op drop to the result clusters only.
+// BenchmarkIntersectorReuse is IntersectInto with the scratch and two
+// alternating result Buffers reused across candidates — the shape of
+// HyFD's candidate validation. Steady state allocates only the result
+// header.
 func BenchmarkIntersectorReuse(b *testing.B) {
 	x, y := benchColumns(100_000, 100, 1000)
 	px := FromColumn(x, 100)
 	inv := FromColumn(y, 1000).Inverted()
 	var ix Intersector
-	ix.IntersectInverted(px, inv) // warm the buckets
+	var bufs [2]Buffer
+	ix.IntersectInto(&bufs[0], px, inv) // warm the buckets
+	ix.IntersectInto(&bufs[1], px, inv)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.IntersectInverted(px, inv)
+		ix.IntersectInto(&bufs[i&1], px, inv)
 	}
 }
 

@@ -16,14 +16,16 @@ func snapshotClusters(p *PLI) [][]int {
 	return out
 }
 
-// TestQuickArenaMatchesAllocPath is the arena property test: the
-// arena-backed intersector produces clusters identical — including
+// TestQuickIntersectIntoMatchesOwnedPath: a product carved from
+// alternating caller-owned Buffers has clusters identical — including
 // cluster order and row order, which validation verdict sampling
-// depends on — to the alloc-per-cluster path, across random shapes.
-func TestQuickArenaMatchesAllocPath(t *testing.T) {
+// depends on — to the product that owns its memory, across random
+// shapes.
+func TestQuickIntersectIntoMatchesOwnedPath(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	arena := NewArenaIntersector()
-	var plain Intersector
+	var reused, plain Intersector
+	var bufs [2]Buffer
+	k := 0
 	f := func() bool {
 		n := 2 + r.Intn(100)
 		cx, cy := 1+r.Intn(10), 1+r.Intn(10)
@@ -33,8 +35,9 @@ func TestQuickArenaMatchesAllocPath(t *testing.T) {
 		}
 		px, py := FromColumn(x, cx), FromColumn(y, cy)
 		inv := py.Inverted()
-		got := snapshotClusters(arena.IntersectInverted(px, inv))
-		want := snapshotClusters(plain.IntersectInverted(px, inv))
+		k++
+		got := snapshotClusters(reused.IntersectInto(&bufs[k&1], px, inv))
+		want := snapshotClusters(plain.IntersectInto(nil, px, inv))
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -42,31 +45,33 @@ func TestQuickArenaMatchesAllocPath(t *testing.T) {
 	}
 }
 
-// TestArenaGenerationWindow pins the arena's lifetime contract: a
-// result stays intact through the NEXT IntersectInverted call (the
-// two-generation ping-pong) and is only reclaimed by the second-next
-// one. Validation folds one verdict behind the checks, so this window
-// is exactly what the discovery loops rely on.
-func TestArenaGenerationWindow(t *testing.T) {
+// TestIntersectIntoAlternatingBuffers pins the Buffer lifetime a chain
+// relies on: a result carved from one Buffer stays intact through the
+// next call, which reads it as its input and writes into the other
+// Buffer, and the chain's product equals the owned path's. HyFD's
+// validation chains alternate exactly so.
+func TestIntersectIntoAlternatingBuffers(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
-	ix := NewArenaIntersector()
-	mk := func() (*PLI, []int) {
+	var ix, plain Intersector
+	var bufs [2]Buffer
+	for trial := 0; trial < 100; trial++ {
 		n := 50 + r.Intn(50)
 		cx := 2 + r.Intn(6)
-		x, y := make([]int, n), make([]int, n)
+		x, y, z := make([]int, n), make([]int, n), make([]int, n)
 		for i := range x {
-			x[i], y[i] = r.Intn(cx), r.Intn(cx)
+			x[i], y[i], z[i] = r.Intn(cx), r.Intn(cx), r.Intn(cx)
 		}
-		return FromColumn(x, cx), FromColumn(y, cx).Inverted()
-	}
-	for trial := 0; trial < 100; trial++ {
-		p1, i1 := mk()
-		r1 := ix.IntersectInverted(p1, i1)
+		px := FromColumn(x, cx)
+		invY, invZ := FromColumn(y, cx).Inverted(), FromColumn(z, cx).Inverted()
+		r1 := ix.IntersectInto(&bufs[trial&1], px, invY)
 		snap := snapshotClusters(r1)
-		p2, i2 := mk()
-		ix.IntersectInverted(p2, i2) // next call must NOT disturb r1
+		r2 := ix.IntersectInto(&bufs[(trial+1)&1], r1, invZ)
 		if got := snapshotClusters(r1); !reflect.DeepEqual(got, snap) {
-			t.Fatalf("trial %d: arena result mutated by the next call", trial)
+			t.Fatalf("trial %d: result mutated by the next call into the other buffer", trial)
+		}
+		want := snapshotClusters(plain.IntersectInto(nil, plain.IntersectInto(nil, px, invY), invZ))
+		if got := snapshotClusters(r2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: chained product %v, want %v", trial, got, want)
 		}
 	}
 }
@@ -114,7 +119,7 @@ func TestQuickFromColumnMatchesMapGrouping(t *testing.T) {
 // TestQuickIntersectCountMatchesInverted: the count-only intersection
 // reports exactly the Size and NumClusters of the materialized product
 // on the same operands, and a product carved from a caller-owned Buffer
-// equals the allocating path's.
+// equals the owned path's.
 func TestQuickIntersectCountMatchesInverted(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	var counter, plain Intersector
@@ -128,7 +133,7 @@ func TestQuickIntersectCountMatchesInverted(t *testing.T) {
 		}
 		px, py := FromColumn(x, cx), FromColumn(y, cy)
 		inv := py.Inverted()
-		want := plain.IntersectInverted(px, inv)
+		want := plain.IntersectInto(nil, px, inv)
 		size, clusters := counter.IntersectCount(px, inv)
 		into := counter.IntersectInto(&buf, px, inv)
 		return size == want.Size() && clusters == want.NumClusters() &&
@@ -139,29 +144,31 @@ func TestQuickIntersectCountMatchesInverted(t *testing.T) {
 	}
 }
 
-// TestArenaIntersectorConcurrentSlots runs one arena intersector per
-// goroutine (the per-slot ownership model of the work-stealing
-// validation) under -race, checking each slot's results against the
-// serial path.
-func TestArenaIntersectorConcurrentSlots(t *testing.T) {
+// TestIntersectIntoConcurrentSlots runs one Intersector with its two
+// Buffers per goroutine (the per-slot ownership model of the
+// work-stealing validation) under -race, checking each slot's chained
+// results against the serial owned path.
+func TestIntersectIntoConcurrentSlots(t *testing.T) {
 	const slots = 8
 	n := 400
 	cx := 5
-	x, y := make([]int, n), make([]int, n)
+	x, y, z := make([]int, n), make([]int, n), make([]int, n)
 	r := rand.New(rand.NewSource(53))
 	for i := range x {
-		x[i], y[i] = r.Intn(cx), r.Intn(cx)
+		x[i], y[i], z[i] = r.Intn(cx), r.Intn(cx), r.Intn(cx)
 	}
-	px, py := FromColumn(x, cx), FromColumn(y, cx)
-	inv := py.Inverted()
+	px := FromColumn(x, cx)
+	invY, invZ := FromColumn(y, cx).Inverted(), FromColumn(z, cx).Inverted()
 	var plain Intersector
-	want := snapshotClusters(plain.IntersectInverted(px, inv))
+	want := snapshotClusters(plain.IntersectInto(nil, plain.IntersectInto(nil, px, invY), invZ))
 	errs := make(chan error, slots)
 	for s := 0; s < slots; s++ {
 		go func() {
-			ix := NewArenaIntersector()
+			var ix Intersector
+			var bufs [2]Buffer
 			for k := 0; k < 200; k++ {
-				if got := snapshotClusters(ix.IntersectInverted(px, inv)); !reflect.DeepEqual(got, want) {
+				p := ix.IntersectInto(&bufs[0], px, invY)
+				if got := snapshotClusters(ix.IntersectInto(&bufs[1], p, invZ)); !reflect.DeepEqual(got, want) {
 					errs <- fmt.Errorf("slot diverged at iteration %d", k)
 					return
 				}

@@ -205,22 +205,16 @@ func (p *PLI) Inverted() []int {
 // underlying p and o, i.e. the product partition, using the standard
 // probe-table algorithm of TANE. The smaller (more selective) operand
 // is probed into the other's cached inverted index, so intermediate
-// partitions shrink as fast as possible.
+// partitions shrink as fast as possible. The result owns its memory,
+// so callers may retain it; repeated intersections reuse scratch
+// through an Intersector.
 func (p *PLI) Intersect(o *PLI) *PLI {
 	a, b := p, o
 	if b.size < a.size {
 		a, b = b, a
 	}
-	return a.IntersectInverted(b.Inverted())
-}
-
-// IntersectInverted is Intersect with the second operand given in
-// inverted (row → cluster) form, which callers can cache and reuse.
-// For repeated intersections, (*Intersector).IntersectInverted avoids
-// the per-call scratch allocations.
-func (p *PLI) IntersectInverted(inv []int) *PLI {
 	var ix Intersector
-	return ix.IntersectInverted(p, inv)
+	return ix.IntersectInto(nil, a, b.Inverted())
 }
 
 // Refines reports whether the partition of p refines the given encoded
@@ -259,13 +253,12 @@ func (p *PLI) Error() int { return p.size - len(p.clusters) }
 
 // Intersector carries the scratch state of repeated PLI intersections:
 // flat per-partner-cluster counters and write cursors (a counting sort,
-// replacing the map probe table that used to dominate validation CPU),
-// plus an optional two-generation result arena. Reusing one Intersector
-// across the candidates of a validation level eliminates every
-// per-candidate allocation except the result clusters themselves — and
-// with an arena (NewArenaIntersector) or caller-owned Buffers
-// (IntersectInto) even those come from reused slabs, making
-// steady-state intersection allocation-free.
+// replacing the map probe table that used to dominate validation CPU).
+// Reusing one Intersector across the candidates of a validation level
+// eliminates every per-candidate allocation except the result clusters
+// themselves — and with caller-owned Buffers (IntersectInto) even those
+// come from reused slabs, making steady-state intersection
+// allocation-free.
 //
 // An Intersector is not safe for concurrent use — parallel validation
 // gives each worker its own.
@@ -273,44 +266,18 @@ type Intersector struct {
 	cnt     []int // partner cluster id → row count for current cluster
 	cur     []int // partner cluster id → slab write cursor, -1 = stripped
 	touched []int // partner ids used by the current cluster
-
-	arena *arena // nil: results own their memory
 }
 
 // Buffer is reusable memory for one intersection result: the row slab
 // and the cluster headers carved from it. IntersectInto overwrites it,
 // so a result carved from a Buffer is valid until the Buffer's next use
 // — callers must not retain it beyond that, mutate it, or call Inverted
-// on it. The zero value is ready to use.
+// on it. A chain of intersections that feeds each result into the next
+// step alternates two Buffers, so every step's input survives while it
+// writes its output. The zero value is ready to use.
 type Buffer struct {
 	slab  []int
 	heads [][]int
-}
-
-// arena is a two-generation result allocator: generations alternate per
-// call, so a result stays valid while it is the input of the next
-// intersection — exactly the lifetime of the left-deep intersection
-// chains validation builds. See NewArenaIntersector for the full
-// contract.
-type arena struct {
-	gens [2]Buffer
-	flip int
-}
-
-// NewArenaIntersector returns an Intersector whose results are carved
-// from a reusable two-generation arena instead of fresh allocations.
-//
-// Contract: a PLI returned by an arena-backed Intersect/IntersectInverted
-// is only valid until the second-next call on the same Intersector, and
-// callers must not retain it, mutate it, or call Inverted on it. That
-// covers the validation pattern — intersect a chain most-selective-first,
-// inspect the final product, move to the next candidate — which is why
-// HyFD (from scratch and revalidating) uses it. Callers that keep
-// partitions across candidates (TANE's level-wise refinement) must use
-// a zero-value Intersector instead; callers that keep one partition per
-// depth of a prefix walk give each depth its own Buffer (IntersectInto).
-func NewArenaIntersector() *Intersector {
-	return &Intersector{arena: new(arena)}
 }
 
 // ensure sizes the flat scratch for partner cluster ids, which are
@@ -322,25 +289,9 @@ func (ix *Intersector) ensure(numRows int) {
 	}
 }
 
-// IntersectInverted computes p ∩ inv like (*PLI).IntersectInverted but
-// reuses the Intersector's scratch buffers. Singleton clusters of the
-// product are stripped eagerly, and the result's cluster order is
-// deterministic (first-touch order per cluster of p, identical to the
-// historical map-based implementation).
-func (ix *Intersector) IntersectInverted(p *PLI, inv []int) *PLI {
-	if a := ix.arena; a != nil {
-		// Flip generations: the buffer being overwritten is the one from
-		// two calls ago, so the immediately preceding result (often the
-		// p of this call) stays intact.
-		a.flip ^= 1
-		return ix.IntersectInto(&a.gens[a.flip], p, inv)
-	}
-	return ix.IntersectInto(nil, p, inv)
-}
-
 // IntersectCount returns Size() and NumClusters() of p ∩ inv without
-// materializing the product: the counting pass of IntersectInverted
-// alone, with no cursor pass and no row writes. A distinct count — rows
+// materializing the product: the counting pass of IntersectInto alone,
+// with no cursor pass and no row writes. A distinct count — rows
 // minus Size plus NumClusters — needs nothing more from the last step
 // of its intersection chain.
 func (ix *Intersector) IntersectCount(p *PLI, inv []int) (size, clusters int) {
@@ -366,9 +317,12 @@ func (ix *Intersector) IntersectCount(p *PLI, inv []int) (size, clusters int) {
 	return size, clusters
 }
 
-// IntersectInto is IntersectInverted with the result carved from buf
-// (see Buffer for its lifetime), independent of the Intersector's arena;
-// with a nil buf the result owns fresh memory.
+// IntersectInto computes the product of p and the partition whose
+// row → cluster index is inv, reusing the Intersector's scratch.
+// Singleton clusters of the product are stripped eagerly, and the
+// result's cluster order is deterministic (first-touch order per
+// cluster of p). The result is carved from buf (see Buffer for its
+// lifetime); with a nil buf it owns fresh memory.
 func (ix *Intersector) IntersectInto(buf *Buffer, p *PLI, inv []int) *PLI {
 	ix.ensure(p.numRows)
 	var slab []int
@@ -430,15 +384,4 @@ func (ix *Intersector) IntersectInto(buf *Buffer, p *PLI, inv []int) *PLI {
 	}
 	res.clusters = heads
 	return res
-}
-
-// Intersect is (*PLI).Intersect with the Intersector's scratch buffers:
-// the smaller operand is probed into the larger one's cached inverted
-// index.
-func (ix *Intersector) Intersect(p, o *PLI) *PLI {
-	a, b := p, o
-	if b.size < a.size {
-		a, b = b, a
-	}
-	return ix.IntersectInverted(a, b.Inverted())
 }

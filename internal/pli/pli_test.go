@@ -175,7 +175,8 @@ func TestQuickRefinesMatchesBruteForce(t *testing.T) {
 func TestSizeCachedThroughIntersect(t *testing.T) {
 	px := FromColumn([]int{0, 0, 0, 1, 1, 2}, 3)
 	py := FromColumn([]int{0, 0, 1, 1, 1, 2}, 3)
-	for _, p := range []*PLI{px, py, px.Intersect(py), px.IntersectInverted(py.Inverted())} {
+	var buf Buffer
+	for _, p := range []*PLI{px, py, px.Intersect(py), new(Intersector).IntersectInto(&buf, px, py.Inverted())} {
 		n := 0
 		for _, c := range p.Clusters() {
 			n += len(c)
@@ -219,8 +220,8 @@ func TestIntersectSelectivitySwap(t *testing.T) {
 	}
 }
 
-// TestIntersectorMatchesIntersect checks the scratch-buffer variant
-// against the plain one, including reuse across differently-shaped
+// TestIntersectorMatchesIntersect checks a reused Intersector against
+// the plain Intersect, including reuse across differently-shaped
 // operands (stale buckets must not leak between calls).
 func TestIntersectorMatchesIntersect(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
@@ -234,14 +235,10 @@ func TestIntersectorMatchesIntersect(t *testing.T) {
 		}
 		px, py := FromColumn(x, cx), FromColumn(y, cy)
 		inv := py.Inverted()
-		want := sortClusters(px.IntersectInverted(inv).Clusters())
-		got := sortClusters(ix.IntersectInverted(px, inv).Clusters())
+		want := sortClusters(px.Intersect(py).Clusters())
+		got := sortClusters(ix.IntersectInto(nil, px, inv).Clusters())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Intersector result %v, want %v", got, want)
-		}
-		got2 := sortClusters(ix.Intersect(px, py).Clusters())
-		if !reflect.DeepEqual(got2, want) {
-			t.Fatalf("Intersector.Intersect result %v, want %v", got2, want)
 		}
 	}
 }

@@ -1,9 +1,12 @@
 // Package plicache is the shared profiling substrate of the
 // normalization pipeline: one dictionary encoding plus lazily-built
-// single-column PLIs (with their cached inverted indexes) per relation
-// instance, built once and reused by every component that profiles the
-// same data — FD discovery (HyFD, TANE), UCC discovery, 4NF
-// refinement, and per-table primary-key selection.
+// single-column partitions per relation instance, built once and
+// reused by every component that profiles the same data — FD discovery
+// (HyFD, TANE), UCC discovery, 4NF refinement, and per-table
+// primary-key selection. The partitions live in a plistore.Store: a
+// Cache puts them in the run's store, whose regime (governed or
+// resident) follows the run's memory ceiling, and a standalone
+// substrate (New, Build) has a resident store of its own.
 //
 // Without this package each of those stages would rebuild the
 // per-attribute PLIs from scratch; the paper's own profiling (Sections
@@ -34,28 +37,17 @@ import (
 )
 
 // Substrate is the per-relation profiling state: the dictionary-encoded
-// instance and one PLI (plus cached inverted index) per attribute,
-// built lazily and cached. Safe for concurrent use.
+// instance and one partition handle per attribute, built lazily in the
+// substrate's store and cached. Safe for concurrent use.
 type Substrate struct {
 	enc     *relation.Encoded
-	cols    []substrateColumn
 	handles []substrateHandle
+	store   *plistore.Store
 
-	// store, when set, governs the handle-form PLIs: Handle compresses
-	// them into the budget-governed store instead of keeping flat
-	// residents. Attached at construction/registration time, before the
-	// substrate is shared across goroutines.
-	store *plistore.Store
-
-	// Set on appended substrates (Extend): column PLIs are grown from
-	// the parent's instead of rebuilt from the full column.
+	// Set on appended substrates (Extend): column partitions are grown
+	// from the parent's instead of rebuilt from the full column.
 	parent   *Substrate
 	baseRows int
-}
-
-type substrateColumn struct {
-	once sync.Once
-	p    *pli.PLI
 }
 
 type substrateHandle struct {
@@ -64,13 +56,14 @@ type substrateHandle struct {
 	err  error
 }
 
-// New wraps an already-encoded relation.
+func newSubstrate(enc *relation.Encoded, st *plistore.Store) *Substrate {
+	return &Substrate{enc: enc, handles: make([]substrateHandle, len(enc.Columns)), store: st}
+}
+
+// New wraps an already-encoded relation in a substrate of its own,
+// whose partitions rest in a resident store: flat and uncharged.
 func New(enc *relation.Encoded) *Substrate {
-	return &Substrate{
-		enc:     enc,
-		cols:    make([]substrateColumn, len(enc.Columns)),
-		handles: make([]substrateHandle, len(enc.Columns)),
-	}
+	return newSubstrate(enc, plistore.New(nil, ""))
 }
 
 // Build wraps rel's encoding, which the relation already carries, so
@@ -83,128 +76,62 @@ func Build(ctx context.Context, rel *relation.Relation) (*Substrate, error) {
 }
 
 // Extend wraps the encoding of a relation that grew by appended rows,
-// deriving each column PLI from the parent substrate's via pli.Extend
-// instead of regrouping the full column. enc must extend the parent's
-// encoding: its first baseRows codes per column are the parent's,
-// unchanged (the Columnar.Append guarantee). The resulting PLIs are
-// identical to a from-scratch build, so the appended substrate is
-// observationally equal to Build on the concatenated relation.
+// deriving each column partition from the parent substrate's via
+// pli.Extend instead of regrouping the full column, and puts it in the
+// parent's store. enc must extend the parent's encoding: its first
+// baseRows codes per column are the parent's, unchanged (the
+// Columnar.Append guarantee). The resulting partitions are identical
+// to a from-scratch build, so the appended substrate is observationally
+// equal to Build on the concatenated relation.
 func Extend(parent *Substrate, enc *relation.Encoded) *Substrate {
-	return &Substrate{
-		enc:      enc,
-		cols:     make([]substrateColumn, len(enc.Columns)),
-		handles:  make([]substrateHandle, len(enc.Columns)),
-		store:    parent.store,
-		parent:   parent,
-		baseRows: parent.NumRows(),
-	}
+	s := newSubstrate(enc, parent.store)
+	s.parent, s.baseRows = parent, parent.enc.NumRows
+	return s
 }
 
-// SetStore attaches a compressed PLI store, making Handle compress the
-// lazy per-attribute PLIs into it instead of wrapping flat residents.
-// Must be called before the substrate is shared across goroutines
-// (construction/registration time); the flat PLI accessor is
-// unaffected.
-func (s *Substrate) SetStore(st *plistore.Store) { s.store = st }
-
-// Store returns the attached compressed PLI store, or nil.
+// Store returns the store holding the substrate's partitions. Engines
+// put the partitions they derive and retain there too.
 func (s *Substrate) Store() *plistore.Store { return s.store }
 
 // Encoded returns the dictionary-encoded instance; callers must not
 // modify it.
 func (s *Substrate) Encoded() *relation.Encoded { return s.enc }
 
-// NumRows returns the row count of the encoded instance.
-func (s *Substrate) NumRows() int { return s.enc.NumRows }
-
-// NumAttrs returns the attribute count of the encoded instance.
-func (s *Substrate) NumAttrs() int { return len(s.enc.Columns) }
-
-// PLI returns the single-column PLI of attribute a, building and
-// caching it on first use. Safe for concurrent use.
-func (s *Substrate) PLI(a int) *pli.PLI {
-	c := &s.cols[a]
-	c.once.Do(func() {
-		if s.parent != nil {
-			c.p = pli.Extend(s.parent.PLI(a), s.enc.Columns[a], s.baseRows, s.enc.Cardinality[a])
-		} else {
-			c.p = pli.FromColumn(s.enc.Columns[a], s.enc.Cardinality[a])
-		}
-	})
-	return c.p
-}
-
-// Inverted returns the cached row → cluster index of attribute a's PLI.
-func (s *Substrate) Inverted(a int) []int { return s.PLI(a).Inverted() }
-
-// Handle returns attribute a's partition as a store handle, built and
-// cached on first use. Without an attached store it wraps the flat
-// resident PLI (free acquisition, no accounting — the unconstrained
-// fast path); with a store it compresses the partition into the
-// budget-governed store, and on appended substrates the partition is
-// grown from the parent's handle via pli.Extend first. Safe for
-// concurrent use.
+// Handle returns attribute a's partition, put in the substrate's store
+// on first use and cached. On appended substrates the partition is
+// grown from the parent's via pli.Extend. Safe for concurrent use.
 func (s *Substrate) Handle(a int) (*plistore.Handle, error) {
 	c := &s.handles[a]
 	c.once.Do(func() {
-		st := s.store
-		if st == nil {
-			c.h = plistore.Resident(s.PLI(a))
+		if s.parent == nil {
+			c.h, c.err = s.store.PutColumn(s.enc.Columns[a], s.enc.Cardinality[a])
 			return
 		}
-		if s.parent != nil {
-			ph, err := s.parent.Handle(a)
-			if err != nil {
-				c.err = err
-				return
-			}
-			pp, err := ph.Acquire()
-			if err != nil {
-				c.err = err
-				return
-			}
-			grown := pli.Extend(pp, s.enc.Columns[a], s.baseRows, s.enc.Cardinality[a])
-			ph.Release()
-			// Extend's result is identical to FromColumn on the full
-			// column, so the full codes are a valid recompute source.
-			c.h, c.err = st.PutPLI(grown, s.enc.Columns[a], s.enc.Cardinality[a])
+		ph, err := s.parent.Handle(a)
+		if err != nil {
+			c.err = err
 			return
 		}
-		c.h, c.err = st.PutColumn(s.enc.Columns[a], s.enc.Cardinality[a])
+		pp, err := ph.Acquire()
+		if err != nil {
+			c.err = err
+			return
+		}
+		grown := pli.Extend(pp, s.enc.Columns[a], s.baseRows, s.enc.Cardinality[a])
+		ph.Release()
+		// Extend's result is identical to FromColumn on the full column,
+		// so the full codes are a valid recompute source.
+		c.h, c.err = s.store.PutPLI(grown, s.enc.Columns[a], s.enc.Cardinality[a])
 	})
 	return c.h, c.err
 }
 
-// Handles returns all single-column partition handles in attribute
-// order, building any that are missing.
-func (s *Substrate) Handles() ([]*plistore.Handle, error) {
-	out := make([]*plistore.Handle, len(s.handles))
-	for a := range s.handles {
-		h, err := s.Handle(a)
-		if err != nil {
-			return nil, err
-		}
-		out[a] = h
-	}
-	return out, nil
-}
-
-// PLIs returns all single-column PLIs in attribute order, building any
-// that are missing.
-func (s *Substrate) PLIs() []*pli.PLI {
-	out := make([]*pli.PLI, len(s.cols))
-	for a := range s.cols {
-		out[a] = s.PLI(a)
-	}
-	return out
-}
-
 // Cache deduplicates substrate builds across the tables of one
-// pipeline run. Lookup is two-tier: relation identity first (the
-// common case — every stage profiles the same *relation.Relation), then
-// a content key over attribute names and rows, so tables with identical
-// instances under different names still share one substrate. Safe for
-// concurrent use.
+// pipeline run, all in the run's one store. Lookup is two-tier:
+// relation identity first (the common case — every stage profiles the
+// same *relation.Relation), then a content key over attribute names
+// and rows, so tables with identical instances under different names
+// still share one substrate. Safe for concurrent use.
 type Cache struct {
 	mu    sync.Mutex
 	byRel map[*relation.Relation]*Substrate
@@ -216,34 +143,18 @@ type Cache struct {
 	hits    atomic.Int64 // lookups served from the cache
 }
 
-// SetStore attaches a compressed PLI store to the cache: substrates
-// built or registered through it from now on hand their handle-form
-// PLIs to the store. The pipeline calls this once, before discovery,
-// when a memory budget governs the run. Nil-safe.
-func (c *Cache) SetStore(st *plistore.Store) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.store = st
-	c.mu.Unlock()
-}
-
-// NewCache returns an empty substrate cache.
-func NewCache() *Cache {
+// NewCache returns an empty substrate cache whose substrates put their
+// partitions in st.
+func NewCache(st *plistore.Store) *Cache {
 	return &Cache{
 		byRel: make(map[*relation.Relation]*Substrate),
 		byKey: make(map[[sha256.Size]byte]*Substrate),
+		store: st,
 	}
 }
 
-// For returns the substrate of rel, building it at most once. A nil
-// cache builds an uncached substrate each call, so callers can thread
-// an optional cache unconditionally.
+// For returns the substrate of rel, building it at most once.
 func (c *Cache) For(ctx context.Context, rel *relation.Relation) (*Substrate, error) {
-	if c == nil {
-		return Build(ctx, rel)
-	}
 	c.mu.Lock()
 	if s, ok := c.byRel[rel]; ok {
 		c.mu.Unlock()
@@ -264,15 +175,14 @@ func (c *Cache) For(ctx context.Context, rel *relation.Relation) (*Substrate, er
 
 	// Build outside the lock; a concurrent builder of the same content
 	// may race us, in which case the first stored substrate wins.
-	s, err := Build(ctx, rel)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	s := newSubstrate(rel.Encode(), c.store)
 	c.mu.Lock()
 	if prev, ok := c.byKey[key]; ok {
 		s = prev
 	} else {
-		s.store = c.store
 		c.byKey[key] = s
 		c.builds.Add(1)
 	}
@@ -281,72 +191,20 @@ func (c *Cache) For(ctx context.Context, rel *relation.Relation) (*Substrate, er
 	return s, nil
 }
 
-// Lookup returns the cached substrate of rel without building, or nil.
-func (c *Cache) Lookup(rel *relation.Relation) *Substrate {
-	if c == nil {
-		return nil
-	}
+// PutDerived registers the substrate of child over its own encoding
+// (typically the one relation.ProjectDedup derived from the parent's
+// codes), making later For calls for child hit the cache.
+func (c *Cache) PutDerived(child *relation.Relation) {
+	s := newSubstrate(child.Encode(), c.store)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byRel[rel]
-}
-
-// PutDerived registers a substrate derived for child (typically over
-// the encoding relation.ProjectDedup derived), making later For/Lookup
-// calls for child hit the cache. A nil cache ignores the registration.
-func (c *Cache) PutDerived(child *relation.Relation, s *Substrate) {
-	if c == nil || s == nil {
-		return
-	}
-	c.mu.Lock()
-	if s.store == nil {
-		s.store = c.store
-	}
 	c.byRel[child] = s
 	c.mu.Unlock()
 	c.derives.Add(1)
 }
 
-// PutKeyed registers a substrate for rel under an explicit content key.
-// The delta plane uses it with DeltaKey(parent, delta), so an appended
-// substrate is found again by lineage instead of re-hashing the full
-// concatenated instance. A nil cache ignores the registration.
-func (c *Cache) PutKeyed(rel *relation.Relation, key [sha256.Size]byte, s *Substrate) {
-	if c == nil || s == nil {
-		return
-	}
-	c.mu.Lock()
-	if s.store == nil {
-		s.store = c.store
-	}
-	if rel != nil {
-		c.byRel[rel] = s
-	}
-	if _, ok := c.byKey[key]; !ok {
-		c.byKey[key] = s
-	}
-	c.mu.Unlock()
-	c.derives.Add(1)
-}
-
-// LookupKey returns the substrate cached under an explicit content key,
-// or nil.
-func (c *Cache) LookupKey(key [sha256.Size]byte) *Substrate {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byKey[key]
-}
-
 // Stats reports the cache's work so far: substrates made on a miss,
-// code-level derivations, and lookups served from cache. All zero on
-// nil.
+// code-level derivations, and lookups served from cache.
 func (c *Cache) Stats() (builds, derives, hits int64) {
-	if c == nil {
-		return 0, 0, 0
-	}
 	return c.builds.Load(), c.derives.Load(), c.hits.Load()
 }
 
@@ -380,19 +238,3 @@ func contentKey(rel *relation.Relation) [sha256.Size]byte {
 // ContentKey exposes the cache's content key; the differential tests
 // use it to pin that streaming and legacy ingest hash identically.
 func ContentKey(rel *relation.Relation) [sha256.Size]byte { return contentKey(rel) }
-
-// DeltaKey is the content key of an appended instance, derived from the
-// parent's key and the delta's key instead of the concatenated bytes:
-// H("delta" ‖ parent ‖ delta). Chains of appends therefore resolve
-// transitively — the child key of one append is the parent key of the
-// next — which is what turns the server's exact-match result cache into
-// a lineage graph.
-func DeltaKey(parent, delta [sha256.Size]byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte("delta\x00"))
-	h.Write(parent[:])
-	h.Write(delta[:])
-	var key [sha256.Size]byte
-	h.Sum(key[:0])
-	return key
-}

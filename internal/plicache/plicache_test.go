@@ -4,12 +4,34 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
 
+	"normalize/internal/budget"
+	"normalize/internal/pli"
+	"normalize/internal/plistore"
 	"normalize/internal/relation"
 )
+
+// acquire returns attribute a's partition from s and the release of
+// its handle.
+func acquire(t *testing.T, s *Substrate, a int) (*pli.PLI, func()) {
+	t.Helper()
+	h, err := s.Handle(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := h.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, h.Release
+}
+
+// residentCache is a cache over a store with no memory ceiling.
+func residentCache() *Cache { return NewCache(plistore.New(nil, "")) }
 
 // randomRelation builds a deterministic random relation with value
 // repetition (small alphabets) and occasional nulls.
@@ -108,21 +130,38 @@ func TestProjectDedupHasNullConservative(t *testing.T) {
 	}
 }
 
+// TestSubstratePLILazySharing: a standalone substrate puts each
+// attribute's partition in its resident store once, and every caller
+// shares that handle and its flat partition.
 func TestSubstratePLILazySharing(t *testing.T) {
 	rel := relation.MustNew("r", []string{"a"}, [][]string{{"x"}, {"x"}, {"y"}})
 	s := New(rel.Encode())
-	p1, p2 := s.PLI(0), s.PLI(0)
+	h1, err := s.Handle(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, _ := s.Handle(0)
+	if h1 != h2 {
+		t.Error("Handle(0) must build once and return the cached handle")
+	}
+	p1, release1 := acquire(t, s, 0)
+	p2, release2 := acquire(t, s, 0)
+	release1()
+	release2()
 	if p1 != p2 {
-		t.Error("PLI(0) must build once and return the cached partition")
+		t.Error("a resident handle must hand out the partition it holds")
 	}
 	if p1.Size() != 2 || p1.NumClusters() != 1 {
 		t.Errorf("unexpected partition: size %d clusters %d", p1.Size(), p1.NumClusters())
+	}
+	if st := s.Store().Stats(); st != (plistore.Stats{}) {
+		t.Errorf("resident store reports %+v, want nothing", st)
 	}
 }
 
 func TestCacheIdentityAndContentKey(t *testing.T) {
 	ctx := context.Background()
-	c := NewCache()
+	c := residentCache()
 	rel1 := relation.MustNew("one", []string{"a", "b"}, [][]string{{"x", "1"}, {"y", "2"}})
 	// Same content, different name and object.
 	rel2 := relation.MustNew("two", []string{"a", "b"}, [][]string{{"x", "1"}, {"y", "2"}})
@@ -160,21 +199,8 @@ func TestCacheIdentityAndContentKey(t *testing.T) {
 	}
 }
 
-func TestCacheNilSafe(t *testing.T) {
-	var c *Cache
-	rel := relation.MustNew("r", []string{"a"}, [][]string{{"x"}})
-	s, err := c.For(context.Background(), rel)
-	if err != nil || s == nil {
-		t.Fatalf("nil cache For: %v, %v", s, err)
-	}
-	if c.Lookup(rel) != nil {
-		t.Error("nil cache Lookup must return nil")
-	}
-	c.PutDerived(rel, s) // must not panic
-}
-
 func TestCachePutDerived(t *testing.T) {
-	c := NewCache()
+	c := residentCache()
 	parent := relation.MustNew("p", []string{"a", "b"}, [][]string{{"x", "1"}, {"x", "2"}})
 	ps, err := c.For(context.Background(), parent)
 	if err != nil {
@@ -184,10 +210,16 @@ func TestCachePutDerived(t *testing.T) {
 		t.Fatal("substrate must wrap the relation's own encoding")
 	}
 	child := parent.ProjectDedup("c", []int{0})
-	c.PutDerived(child, New(child.Encode()))
-	got := c.Lookup(child)
-	if got == nil {
-		t.Fatal("derived substrate not registered")
+	c.PutDerived(child)
+	got, err := c.For(context.Background(), child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds, derives, hits := c.Stats(); builds != 1 || derives != 1 || hits != 1 {
+		t.Fatalf("stats builds=%d derives=%d hits=%d, want 1, 1, 1: derived substrate not registered", builds, derives, hits)
+	}
+	if got.Store() != ps.Store() {
+		t.Error("derived substrate must share the cache's store")
 	}
 	if err := encodedEqual(got.Encoded(), relation.MustNew("c", []string{"a"}, [][]string{{"x"}}).Encode()); err != nil {
 		t.Fatal(err)
@@ -197,7 +229,7 @@ func TestCachePutDerived(t *testing.T) {
 // TestCacheConcurrent hammers one cache from many goroutines under the
 // race detector: same-content relations must converge on one substrate.
 func TestCacheConcurrent(t *testing.T) {
-	c := NewCache()
+	c := residentCache()
 	ctx := context.Background()
 	rows := [][]string{{"x", "1"}, {"y", "2"}, {"x", "2"}}
 	var wg sync.WaitGroup
@@ -212,8 +244,18 @@ func TestCacheConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			_ = s.PLI(0)
-			_ = s.Inverted(1)
+			for a := 0; a < 2; a++ {
+				h, err := s.Handle(a)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := h.Acquire(); err != nil {
+					t.Error(err)
+					return
+				}
+				h.Release()
+			}
 			subs[i] = s
 		}(i)
 	}
@@ -233,18 +275,23 @@ func TestCanceledBuild(t *testing.T) {
 		rows[i] = []string{fmt.Sprint(i)}
 	}
 	rel := relation.MustNew("big", []string{"a"}, rows)
-	if _, err := NewCache().For(ctx, rel); err == nil {
+	if _, err := residentCache().For(ctx, rel); err == nil {
 		t.Error("cancelled build must fail")
 	}
 }
 
 // TestExtendMatchesFresh pins the delta plane's substrate property: a
-// substrate extended over appended rows must produce PLIs and inverted
-// indexes observably identical to ones built from scratch on the
-// combined encoding — cluster contents, ordering, and singleton
-// stripping included.
+// substrate extended over appended rows must produce partitions and
+// inverted indexes observably identical to ones built from scratch on
+// the combined encoding — cluster contents, ordering, and singleton
+// stripping included — in both store regimes. On the governed side a
+// full eviction sweep runs before the reads, so the extended
+// partitions are compared as rebuilt from their codes.
 func TestExtendMatchesFresh(t *testing.T) {
+	ctx := context.Background()
 	r := rand.New(rand.NewSource(808))
+	dir := t.TempDir()
+	var recomputes int64
 	for trial := 0; trial < 100; trial++ {
 		attrs := 1 + r.Intn(6)
 		baseRows := 1 + r.Intn(40)
@@ -264,25 +311,64 @@ func TestExtendMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ext := Extend(New(base.Encode()), grown.Enc)
-		fresh := New(rel.Encode())
-
-		if err := encodedEqual(ext.Encoded(), fresh.Encoded()); err != nil {
-			t.Fatalf("trial %d: encodings differ: %v", trial, err)
+		tr := budget.NewTracker(0, 1<<20)
+		governed := plistore.New(tr, dir)
+		gparent, err := NewCache(governed).For(ctx, base)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for a := 0; a < attrs; a++ {
-			ep, fp := ext.PLI(a), fresh.PLI(a)
-			if !reflect.DeepEqual(ep.Clusters(), fp.Clusters()) {
-				t.Fatalf("trial %d attr %d: clusters differ\nextended: %v\nfresh: %v",
-					trial, a, ep.Clusters(), fp.Clusters())
+		for _, regime := range []struct {
+			name        string
+			ext, fresh  *Substrate
+			wantGoverns bool
+		}{
+			{"resident", Extend(New(base.Encode()), grown.Enc), New(rel.Encode()), false},
+			{"governed", Extend(gparent, grown.Enc), newSubstrate(rel.Encode(), governed), true},
+		} {
+			ext, fresh := regime.ext, regime.fresh
+			if err := encodedEqual(ext.Encoded(), fresh.Encoded()); err != nil {
+				t.Fatalf("trial %d %s: encodings differ: %v", trial, regime.name, err)
 			}
-			if !reflect.DeepEqual(ep.Inverted(), fp.Inverted()) {
-				t.Fatalf("trial %d attr %d: inverted indexes differ", trial, a)
+			for a := 0; a < attrs; a++ {
+				if _, err := ext.Handle(a); err != nil {
+					t.Fatalf("trial %d %s attr %d: %v", trial, regime.name, a, err)
+				}
 			}
-			if ep.Size() != fp.Size() || ep.NumClusters() != fp.NumClusters() {
-				t.Fatalf("trial %d attr %d: size/clusters %d/%d vs %d/%d",
-					trial, a, ep.Size(), ep.NumClusters(), fp.Size(), fp.NumClusters())
+			if regime.wantGoverns {
+				// A foreign charge the size of the whole ceiling keeps the
+				// sweep over the limit no matter what it frees, so every
+				// entry ends dropped or spilled.
+				tr.Grow(tr.MemLimit())
+				tr.Grow(-tr.MemLimit())
+			}
+			for a := 0; a < attrs; a++ {
+				ep, releaseExt := acquire(t, ext, a)
+				fp, releaseFresh := acquire(t, fresh, a)
+				if !reflect.DeepEqual(ep.Clusters(), fp.Clusters()) {
+					t.Fatalf("trial %d %s attr %d: clusters differ\nextended: %v\nfresh: %v",
+						trial, regime.name, a, ep.Clusters(), fp.Clusters())
+				}
+				if !reflect.DeepEqual(ep.Inverted(), fp.Inverted()) {
+					t.Fatalf("trial %d %s attr %d: inverted indexes differ", trial, regime.name, a)
+				}
+				if ep.Size() != fp.Size() || ep.NumClusters() != fp.NumClusters() {
+					t.Fatalf("trial %d %s attr %d: size/clusters %d/%d vs %d/%d",
+						trial, regime.name, a, ep.Size(), ep.NumClusters(), fp.Size(), fp.NumClusters())
+				}
+				releaseExt()
+				releaseFresh()
+			}
+			if got := ext.Store().Stats().Entries > 0; got != regime.wantGoverns {
+				t.Fatalf("trial %d %s: store registered entries = %v", trial, regime.name, got)
 			}
 		}
+		recomputes += governed.Stats().Recomputes
+		governed.Close()
+	}
+	if recomputes == 0 {
+		t.Error("the governed ceiling never forced a partition out and back")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) > 0 {
+		t.Errorf("spill file left behind after Close: %s", ents[0].Name())
 	}
 }

@@ -33,7 +33,7 @@ func BenchmarkPLIStore(b *testing.B) {
 	cols, cards := benchColumns(16, rows)
 
 	b.Run("compress", func(b *testing.B) {
-		s := New(nil, b.TempDir())
+		s := New(unbounded(), b.TempDir())
 		defer s.Close()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -46,7 +46,7 @@ func BenchmarkPLIStore(b *testing.B) {
 	})
 
 	b.Run("decode", func(b *testing.B) {
-		s := New(nil, b.TempDir())
+		s := New(unbounded(), b.TempDir())
 		defer s.Close()
 		handles := make([]*Handle, len(cols))
 		for i := range cols {
@@ -71,7 +71,7 @@ func BenchmarkPLIStore(b *testing.B) {
 	})
 
 	b.Run("intersect-acquired", func(b *testing.B) {
-		s := New(nil, b.TempDir())
+		s := New(unbounded(), b.TempDir())
 		defer s.Close()
 		ha, err := s.PutColumn(cols[0], cards[0])
 		if err != nil {

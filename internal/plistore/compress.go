@@ -21,9 +21,12 @@
 //     to a transient temp file, decided by a recompute-vs-reload cost
 //     model.
 //
-// A Handle can also wrap a plain resident *pli.PLI with no store
-// behind it, so engines use handles unconditionally and the
-// unconstrained fast path keeps its exact pre-store behavior.
+// Every run has one store, and its tracker picks the regime: only a
+// memory ceiling makes the store governed as above. Without one the
+// store is resident — partitions stay flat and uncompressed, nothing
+// is charged or registered for eviction — so engines put and acquire
+// through handles unconditionally and the unconstrained fast path
+// pays no compression.
 package plistore
 
 import (

@@ -23,20 +23,25 @@ const (
 // them.
 const maxFreePerClass = 8
 
-// Store holds compressed partitions, charges their footprint against a
-// budget tracker, and evicts cold state when a charge would cross the
-// memory ceiling. All methods are safe for concurrent use by parallel
-// validation workers. The zero store is not usable; see New.
+// Store owns the partitions discovery retains. Its regime follows its
+// tracker. Governed (the tracker has a memory ceiling), it compresses
+// every partition, charges the footprint against the tracker, and
+// evicts cold state when a charge would cross the ceiling. Resident
+// (no ceiling), it keeps every partition flat and uncompressed,
+// charges nothing and registers nothing, so Acquire and Release touch
+// no shared state and Stats stays zero. All methods are safe for
+// concurrent use by parallel validation workers. The zero store is not
+// usable; see New.
 type Store struct {
-	tr  *budget.Tracker
-	dir string
+	tr       *budget.Tracker
+	dir      string
+	governed bool
 
 	mu      sync.Mutex
 	entries []*Handle
 	hand    int
 	sp      *spillFile
 	free    [][][]byte // size class → spare segment buffers
-	closed  bool
 
 	// live is the sum of this store's outstanding tracker charges, so
 	// Recharge can re-base them after an external tracker Reset.
@@ -48,29 +53,29 @@ type Store struct {
 	recomputes      atomic.Int64
 }
 
-// New returns a store charging against tr and spilling into dir (""
-// means the OS temp dir). With a nil tracker the store still
-// compresses but never evicts or spills — useful for measuring the
-// compressed resting footprint without a ceiling.
+// New returns a store over tr, spilling into dir ("" means the OS temp
+// dir). It is governed when tr has a memory ceiling and resident
+// otherwise, including for a nil tracker; a resident store never
+// creates a spill file.
 func New(tr *budget.Tracker, dir string) *Store {
-	s := &Store{tr: tr, dir: dir}
-	// Register eviction as the tracker's memory reclaimer: any charge
-	// that would trip the ceiling — the store's own, or an unrelated one
-	// like FD-tree growth or decomposition materialization — first
-	// displaces cold partitions. Without this, only the store's own
-	// charges could trigger eviction and every other charge would fall
-	// straight into the degradation ladder.
-	tr.SetReclaimer(s.evict)
+	s := &Store{tr: tr, dir: dir, governed: tr.MemLimit() > 0}
+	if s.governed {
+		// Register eviction as the tracker's memory reclaimer: any
+		// charge that would trip the ceiling — the store's own, or an
+		// unrelated one like FD-tree growth or decomposition
+		// materialization — first displaces cold partitions. Without
+		// this, only the store's own charges could trigger eviction and
+		// every other charge would fall straight into the degradation
+		// ladder.
+		tr.SetReclaimer(s.evict)
+	}
 	return s
 }
 
 // Handle is a reference to one partition: O(1) metadata always
-// resident, the flat *pli.PLI materialized on demand via Acquire. A
-// handle with a nil store wraps an always-resident partition (see
-// Resident) with zero acquisition cost.
+// resident, the flat *pli.PLI materialized on demand via Acquire. In a
+// resident store the partition is simply held.
 type Handle struct {
-	resident *pli.PLI // non-nil ⇒ plain resident handle, st == nil
-
 	st *Store
 
 	numRows   int
@@ -79,7 +84,7 @@ type Handle struct {
 
 	pins atomic.Int64            // acquisitions outstanding; > 0 blocks eviction
 	ref  atomic.Bool             // clock second-chance bit, set on every Acquire
-	dec  atomic.Pointer[pli.PLI] // cached decoded partition
+	dec  atomic.Pointer[pli.PLI] // cached decoded partition; the partition itself when resident
 
 	mu        sync.Mutex // guards segs and state transitions
 	state     int
@@ -95,19 +100,11 @@ type Handle struct {
 	card  int
 }
 
-// Resident wraps an already-materialized partition in a Handle with no
-// store behind it: Acquire returns it directly, Release is a no-op,
-// and it is never charged, evicted, or spilled. Engines use resident
-// handles when no memory budget governs the run, keeping the
-// unconstrained fast path byte- and allocation-identical to the
-// pre-store code.
-func Resident(p *pli.PLI) *Handle { return &Handle{resident: p} }
-
-// PutColumn compresses the single-column partition of a dictionary
-// code column and registers it as recomputable: under pressure its
-// compressed form may be dropped entirely and rebuilt from codes.
-// codes is retained (not copied) — it is the substrate's column, alive
-// for the run anyway.
+// PutColumn builds the single-column partition of a dictionary code
+// column. A governed store registers it as recomputable: under
+// pressure its compressed form may be dropped entirely and rebuilt
+// from codes. codes is retained (not copied) — it is the substrate's
+// column, alive for the run anyway.
 func (s *Store) PutColumn(codes []int, cardinality int) (*Handle, error) {
 	return s.put(pli.FromColumn(codes, cardinality), codes, cardinality)
 }
@@ -120,28 +117,26 @@ func (s *Store) PutPLI(p *pli.PLI, codes []int, cardinality int) (*Handle, error
 	return s.put(p, codes, cardinality)
 }
 
-// Put compresses an intersected (derived) partition. It has no
-// recompute source, so under pressure it spills to the temp file and
-// reloads from there.
+// Put registers an intersected (derived) partition. It has no
+// recompute source, so under pressure a governed store spills it to
+// the temp file and reloads it from there.
 func (s *Store) Put(p *pli.PLI) (*Handle, error) {
 	return s.put(p, nil, 0)
 }
 
+// put registers p. A resident store only wraps it; a governed one
+// compresses, charges and registers it for eviction, keeping p as the
+// decoded cache because the caller almost always uses it immediately.
 func (s *Store) put(p *pli.PLI, codes []int, card int) (*Handle, error) {
-	segs, comp := s.encode(p.Clusters())
-	h := &Handle{
-		st:        s,
-		numRows:   p.NumRows(),
-		size:      p.Size(),
-		nclusters: p.NumClusters(),
-		state:     stateHot,
-		segs:      segs,
-		compBytes: comp,
-		codes:     codes,
-		card:      card,
+	h := &Handle{st: s, numRows: p.NumRows(), size: p.Size(), nclusters: p.NumClusters()}
+	h.dec.Store(p)
+	if !s.governed {
+		return h, nil
 	}
+	segs, comp := s.encode(p.Clusters())
+	h.state, h.segs, h.compBytes = stateHot, segs, comp
+	h.codes, h.card = codes, card
 	h.ref.Store(true)
-	h.dec.Store(p) // the caller almost always uses it immediately
 	s.compressedBytes.Add(comp)
 	if err := s.grow(comp + h.decodedBytes()); err != nil {
 		// Try again without caching the decoded form before giving up
@@ -201,10 +196,10 @@ func (s *Store) encode(clusters [][]int) ([]segment, int64) {
 // until the matching Release. The pin is taken before the cache probe,
 // so a concurrently sweeping evictor either sees the pin or leaves a
 // decoded value this acquisition re-decodes — never a freed partition
-// in use.
+// in use. A resident store's partition needs no pin.
 func (h *Handle) Acquire() (*pli.PLI, error) {
-	if h.resident != nil {
-		return h.resident, nil
+	if !h.st.governed {
+		return h.dec.Load(), nil
 	}
 	h.pins.Add(1)
 	h.ref.Store(true)
@@ -221,10 +216,9 @@ func (h *Handle) Acquire() (*pli.PLI, error) {
 
 // Release unpins a partition returned by Acquire.
 func (h *Handle) Release() {
-	if h.resident != nil {
-		return
+	if h.st.governed {
+		h.pins.Add(-1)
 	}
-	h.pins.Add(-1)
 }
 
 // decode rebuilds the flat partition from whichever form survives:
@@ -313,36 +307,16 @@ func (h *Handle) reloadCost() int64 { return 48 * h.compBytes }
 // pruning read these without materializing anything.
 
 // NumRows returns the row count of the underlying relation.
-func (h *Handle) NumRows() int {
-	if h.resident != nil {
-		return h.resident.NumRows()
-	}
-	return h.numRows
-}
+func (h *Handle) NumRows() int { return h.numRows }
 
 // Size returns the total rows covered by (stripped) clusters.
-func (h *Handle) Size() int {
-	if h.resident != nil {
-		return h.resident.Size()
-	}
-	return h.size
-}
+func (h *Handle) Size() int { return h.size }
 
 // NumClusters returns the number of stripped clusters.
-func (h *Handle) NumClusters() int {
-	if h.resident != nil {
-		return h.resident.NumClusters()
-	}
-	return h.nclusters
-}
+func (h *Handle) NumClusters() int { return h.nclusters }
 
 // Error returns the partition error e(X) = Size − NumClusters.
-func (h *Handle) Error() int {
-	if h.resident != nil {
-		return h.resident.Error()
-	}
-	return h.size - h.nclusters
-}
+func (h *Handle) Error() int { return h.size - h.nclusters }
 
 // IsUnique reports whether the partition has no clusters.
 func (h *Handle) IsUnique() bool { return h.Size() == 0 }
@@ -353,9 +327,6 @@ func (h *Handle) IsUnique() bool { return h.Size() == 0 }
 // failed to free enough: roll the charge back and propagate the trip,
 // which the pipeline's degradation ladder handles as before.
 func (s *Store) grow(n int64) error {
-	if s.tr == nil {
-		return nil
-	}
 	s.live.Add(n)
 	if err := s.tr.Grow(n); err != nil {
 		s.live.Add(-n)
@@ -366,9 +337,6 @@ func (s *Store) grow(n int64) error {
 }
 
 func (s *Store) shrink(n int64) {
-	if s.tr == nil {
-		return
-	}
 	s.live.Add(-n)
 	s.tr.Grow(-n)
 }
@@ -384,9 +352,6 @@ func (s *Store) shrink(n int64) {
 // footprint got back under the limit.
 func (s *Store) evict() bool {
 	limit := s.tr.MemLimit()
-	if limit <= 0 {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for phase := 0; phase < 2 && s.tr.Memory() > limit; phase++ {
@@ -526,28 +491,21 @@ func (s *Store) putBufLocked(b []byte) {
 // Recharge re-bases the store's outstanding charges onto the tracker
 // after an external Reset (the pipeline resets between
 // degradation-ladder attempts), so the next attempt still accounts for
-// the partitions the store retains. Nil-safe.
+// the partitions the store retains.
 func (s *Store) Recharge() {
-	if s == nil || s.tr == nil {
-		return
-	}
 	// A trip here is deliberately ignored: the retained footprint was
 	// admitted before the reset, and the next grow will evict.
 	s.tr.Grow(s.live.Load())
 }
 
-// Close removes the spill file. Handles must not be acquired after
-// Close — the store's lifetime is the pipeline run that owns it.
-// Nil-safe and idempotent.
+// Close unregisters the reclaimer and removes the spill file. Handles
+// must not be acquired after Close — the store's lifetime is the
+// pipeline run that owns it. Idempotent.
 func (s *Store) Close() {
-	if s == nil {
-		return
-	}
 	s.tr.SetReclaimer(nil)
 	s.mu.Lock()
 	sp := s.sp
 	s.sp = nil
-	s.closed = true
 	s.mu.Unlock()
 	sp.close()
 }
@@ -563,11 +521,9 @@ type Stats struct {
 	ResidentBytes   int64 // what all entries would occupy decoded flat
 }
 
-// Stats returns the current counters; zero value on nil.
+// Stats returns the current counters; all zero for a resident store,
+// which compresses and registers nothing.
 func (s *Store) Stats() Stats {
-	if s == nil {
-		return Stats{}
-	}
 	s.mu.Lock()
 	n := len(s.entries)
 	var resident int64
@@ -586,13 +542,11 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// FlushCounters reports the store's counters to an observer under the
-// given stage; they surface through SSE, /telemetry, and /debug/vars
-// like every other counter. Nil-safe.
+// FlushCounters reports the store's non-zero counters to an observer
+// under the given stage; they surface through SSE, /telemetry, and
+// /debug/vars like every other counter. A resident store reports
+// nothing.
 func (s *Store) FlushCounters(obs observe.Observer, stage observe.Stage) {
-	if s == nil || obs == nil {
-		return
-	}
 	st := s.Stats()
 	if st.CompressedBytes > 0 {
 		obs.Counter(stage, observe.CounterPLICompressedBytes, st.CompressedBytes)

@@ -1,14 +1,21 @@
 package plistore
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
 	"testing"
 
 	"normalize/internal/budget"
+	"normalize/internal/observe"
 	"normalize/internal/pli"
 )
+
+// unbounded returns a tracker with a ceiling nothing reaches: a store
+// over it is governed, so it compresses every partition, but it never
+// evicts or spills.
+func unbounded() *budget.Tracker { return budget.NewTracker(0, math.MaxInt64) }
 
 // randColumn builds a deterministic dictionary-encoded column.
 func randColumn(r *rand.Rand, rows, card int) []int {
@@ -38,10 +45,10 @@ func mustAcquire(t *testing.T, h *Handle, want *pli.PLI) {
 }
 
 // TestRoundTrip: compress-and-decode is the identity for single-column
-// and intersected partitions, with no budget in play.
+// and intersected partitions, with no eviction in play.
 func TestRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	s := New(nil, t.TempDir())
+	s := New(unbounded(), t.TempDir())
 	defer s.Close()
 	for trial := 0; trial < 20; trial++ {
 		rows, card := 1+r.Intn(3000), 1+r.Intn(40)
@@ -69,7 +76,7 @@ func TestRoundTrip(t *testing.T) {
 // materializing, and match the flat partition's.
 func TestMetadataResident(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	s := New(nil, t.TempDir())
+	s := New(unbounded(), t.TempDir())
 	defer s.Close()
 	codes := randColumn(r, 500, 7)
 	want := pli.FromColumn(codes, 7)
@@ -89,20 +96,49 @@ func TestMetadataResident(t *testing.T) {
 	}
 }
 
-// TestResidentHandle: a Resident handle is a zero-cost passthrough.
+// TestResidentHandle: a store without a memory ceiling is resident —
+// Acquire hands back the partition that was put, and the store neither
+// compresses nor registers anything, so its stats stay zero and it
+// reports no counter.
 func TestResidentHandle(t *testing.T) {
+	tr := budget.NewTracker(10, 0) // an FD ceiling alone governs no memory
+	s := New(tr, t.TempDir())
+	defer s.Close()
 	p := pli.FromColumn([]int{0, 0, 1, 1, 2}, 3)
-	h := Resident(p)
+	h, err := s.Put(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := []int{0, 1, 0, 1, 1, 2}
+	hc, err := s.PutColumn(codes, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := h.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != p {
-		t.Fatal("Resident handle did not return the wrapped partition")
+		t.Fatal("resident handle did not return the partition that was put")
 	}
 	h.Release()
-	if h.NumRows() != p.NumRows() || h.Error() != p.Error() {
-		t.Fatal("Resident metadata mismatch")
+	if h.NumRows() != p.NumRows() || h.Error() != p.Error() ||
+		h.Size() != p.Size() || h.NumClusters() != p.NumClusters() {
+		t.Fatal("resident metadata mismatch")
+	}
+	mustAcquire(t, hc, pli.FromColumn(codes, 3))
+	if st := s.Stats(); st != (Stats{}) {
+		t.Fatalf("resident store stats = %+v, want zero", st)
+	}
+	if tr.Memory() != 0 {
+		t.Fatalf("resident store charged %d bytes", tr.Memory())
+	}
+	var counters []string
+	s.FlushCounters(observe.Func{OnCounter: func(_ observe.Stage, name string, _ int64) {
+		counters = append(counters, name)
+	}}, observe.Discovery)
+	if len(counters) > 0 {
+		t.Fatalf("resident store reported counters %v", counters)
 	}
 }
 
@@ -282,7 +318,7 @@ func TestRecharge(t *testing.T) {
 // TestFreelistReuse: segment buffers released by drop/spill come back
 // out of the size-class freelist instead of being reallocated.
 func TestFreelistReuse(t *testing.T) {
-	s := New(nil, t.TempDir())
+	s := New(unbounded(), t.TempDir())
 	defer s.Close()
 	b := s.allocBuf(1 << 12)
 	if cap(b) != 1<<12 {
@@ -296,11 +332,12 @@ func TestFreelistReuse(t *testing.T) {
 	}
 }
 
-// FuzzPLIRoundTrip is the differential contract of the compressed
-// store: for arbitrary column contents, the store's round-trip of the
+// FuzzPLIRoundTrip is the differential contract of the store: for
+// arbitrary column contents, the store's round-trip of the
 // single-column partition, an Extend of its prefix, and an intersected
-// partition must equal the flat pli package's results — both resting in
-// memory and after a forced spill under a tiny budget.
+// partition must equal the flat pli package's results — held flat by a
+// resident store, resting compressed in memory, and after a forced
+// spill under a tiny budget.
 func FuzzPLIRoundTrip(f *testing.F) {
 	f.Add([]byte("abcabc"), uint16(64), uint8(3))
 	f.Add([]byte{0, 0, 0, 0}, uint16(9), uint8(1))
@@ -332,6 +369,7 @@ func FuzzPLIRoundTrip(f *testing.F) {
 		wantInter := want.Intersect(pli.FromColumn(codes2, 4))
 
 		check := func(s *Store, forceEvict bool) {
+			governed := s.tr.MemLimit() > 0
 			h, err := s.PutColumn(codes, card)
 			if err != nil {
 				t.Fatalf("PutColumn: %v", err)
@@ -355,7 +393,9 @@ func FuzzPLIRoundTrip(f *testing.F) {
 				h    *Handle
 				want *pli.PLI
 			}{{h, want}, {he, wantExt}, {hi, wantInter}} {
-				c.h.dec.Store(nil)
+				if governed {
+					c.h.dec.Store(nil) // force the decode path
+				}
 				got, err := c.h.Acquire()
 				if err != nil {
 					t.Fatalf("Acquire: %v", err)
@@ -371,8 +411,17 @@ func FuzzPLIRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Resting in memory, no ceiling.
-		rest := New(nil, t.TempDir())
+		// Held flat by a resident store: nothing compressed or
+		// registered.
+		resident := New(nil, t.TempDir())
+		check(resident, false)
+		if st := resident.Stats(); st != (Stats{}) {
+			t.Fatalf("resident store stats = %+v, want zero", st)
+		}
+		resident.Close()
+
+		// Resting compressed in memory, under a ceiling nothing reaches.
+		rest := New(unbounded(), t.TempDir())
 		check(rest, false)
 		rest.Close()
 

@@ -11,6 +11,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -203,7 +204,7 @@ func TestCacheByteBudget(t *testing.T) {
 // cache without recomputing.
 func TestDeltaLineagePersistsAndRestores(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, DataDir: dir, MetricsName: "test_delta_persist_1"}
+	cfg := Config{Workers: 1, DataDir: dir, MetricsName: fmt.Sprintf("test_delta_persist_%d", serverSeq.Add(1))}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestDeltaLineagePersistsAndRestores(t *testing.T) {
 
 	// Restart: the restored delta spec re-finalizes to the same child
 	// key, so the identical resubmission (by content key) is a cache hit.
-	cfg.MetricsName = "test_delta_persist_2"
+	cfg.MetricsName = fmt.Sprintf("test_delta_persist_%d", serverSeq.Add(1))
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

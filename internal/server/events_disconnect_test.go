@@ -119,7 +119,7 @@ func TestReplicationEndpointsOnPersistentServer(t *testing.T) {
 		t.Errorf("stale stream position: %d, want 409", rr.Code)
 	}
 
-	mem := testServer(t, Config{Workers: 1, MetricsName: "test_" + t.Name() + "_mem"})
+	mem := testServer(t, Config{Workers: 1})
 	rr = httptest.NewRecorder()
 	mem.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/v1/replication/status", nil))
 	if rr.Code != http.StatusNotFound {

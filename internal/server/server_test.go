@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,12 +27,16 @@ Mike,Cone,14482,Potsdam,Jakobs
 Thomas,Moore,60329,Frankfurt,Feldmann
 `
 
-// testServer builds a server with a unique expvar name per test (the
-// registry is process-global and rejects duplicates).
+// serverSeq numbers the test servers of one process, so a test that
+// runs more than once (go test -count N) still names a fresh expvar.
+var serverSeq atomic.Int64
+
+// testServer builds a server with a unique expvar name per test run
+// (the registry is process-global and rejects duplicates).
 func testServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.MetricsName == "" {
-		cfg.MetricsName = "test_" + strings.ReplaceAll(t.Name(), "/", "_")
+		cfg.MetricsName = fmt.Sprintf("test_%s_%d", strings.ReplaceAll(t.Name(), "/", "_"), serverSeq.Add(1))
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -669,7 +674,7 @@ func TestJobWorkersDefault(t *testing.T) {
 		t.Errorf("explicit job: workers = %d, want 2", got)
 	}
 
-	s2 := testServer(t, Config{Workers: 1, MetricsName: "test_TestJobWorkersDefault_zero"})
+	s2 := testServer(t, Config{Workers: 1})
 	st = submit(t, s2.Handler(), csvBody(addressCSV, ""))
 	job, ok = s2.m.Get(st.ID)
 	if !ok {
