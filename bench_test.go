@@ -380,17 +380,28 @@ func BenchmarkUCCDiscovery(b *testing.B) {
 
 // --- Parallel validation + shared substrate ---------------------------
 
-// BenchmarkHyFDWorkers measures discovery with explicit validation
-// worker counts. On a single-core host the counts coincide; on
-// multi-core machines this is the speedup curve of the validation pool.
+// BenchmarkHyFDWorkers measures discovery with explicit worker counts
+// (clamped to the host's CPUs) on two shapes: the wide TPC-H universal
+// relation (workers-N), and a long, thin, low-cardinality order-line
+// relation (orderlines/workers-N: 60 000 rows of redundantCSV) whose
+// large clusters make pair sampling the dominant phase.
 func BenchmarkHyFDWorkers(b *testing.B) {
-	rel := mustDS(b)(datagen.TPCH(0.0002, 1)).Denormalized
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run("workers-"+itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				hyfd.Discover(rel, hyfd.Options{MaxLhs: 3, Workers: workers})
-			}
-		})
+	tpch := mustDS(b)(datagen.TPCH(0.0002, 1)).Denormalized
+	orderlines, err := relation.ReadCSV("orderlines", bytes.NewReader(redundantCSV(60000)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		prefix string
+		rel    *relation.Relation
+	}{{"", tpch}, {"orderlines/", orderlines}} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(in.prefix+"workers-"+itoa(workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					hyfd.Discover(in.rel, hyfd.Options{MaxLhs: 3, Workers: workers})
+				}
+			})
+		}
 	}
 }
 

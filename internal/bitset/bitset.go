@@ -41,6 +41,17 @@ func Of(n int, elems ...int) *Set {
 	return s
 }
 
+// FromWords returns a set over [0, n) holding element e iff bit e%64 of
+// words[e/64] is set, the word layout Key serializes. The words are
+// copied; missing words read as empty and bits at or past n are
+// dropped.
+func FromWords(n int, words []uint64) *Set {
+	s := New(n)
+	copy(s.words, words)
+	s.trim()
+	return s
+}
+
 // Full returns the set containing every element of [0, n).
 func Full(n int) *Set {
 	s := New(n)

@@ -262,3 +262,18 @@ func TestQuickElementsRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestFromWords(t *testing.T) {
+	s := Of(70, 0, 3, 63, 64, 69)
+	got := FromWords(70, s.words)
+	if !got.Equal(s) || got.Key() != s.Key() {
+		t.Fatalf("FromWords(words of %v) = %v", s, got)
+	}
+	got.Add(5)
+	if s.Contains(5) {
+		t.Fatal("FromWords shares the caller's words")
+	}
+	if got := FromWords(3, []uint64{0xff}); got.String() != "{0, 1, 2}" {
+		t.Fatalf("bits past n kept: %v", got)
+	}
+}

@@ -3,12 +3,15 @@ package hyfd
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"normalize/internal/bitset"
 	"normalize/internal/datagen"
 	"normalize/internal/observe"
+	"normalize/internal/wsteal"
 )
 
 // TestDiscoverContextPreCancelled: a context cancelled before the call
@@ -69,6 +72,52 @@ func TestDiscoverContextCancelSequential(t *testing.T) {
 	}
 	if latency := time.Since(cancelledAt); latency > time.Second {
 		t.Errorf("cancellation surfaced %v after cancel, contract is < 1s", latency)
+	}
+}
+
+// TestSamplerCancelPolledPerCluster: a cancellation that lands while a
+// cluster's agree sets are being emitted stops sampling once that
+// cluster is committed, at every worker count — however many pairs the
+// remaining clusters and rounds would compare, and although emit never
+// returns an error.
+func TestSamplerCancelPolledPerCluster(t *testing.T) {
+	rel := samplingRelation(rand.New(rand.NewSource(59)), 9, 400)
+	want := referenceSample(t, rel, 5)
+	if len(want) < 2 || want[0].cluster == want[len(want)-1].cluster {
+		t.Fatal("test setup: the reference sweep must span several clusters")
+	}
+	for _, workers := range []int{1, 2} {
+		s, err := newSampler(rel.Encode(), substrateHandles(t, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool *wsteal.Pool
+		if workers > 1 {
+			pool = wsteal.New(workers)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var got []string
+		err = s.run(ctx, 5, pool, func(a *bitset.Set) error {
+			cancel()
+			got = append(got, a.String())
+			return nil
+		})
+		if pool != nil {
+			pool.Close()
+		}
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: run returned %v, want context.Canceled", workers, err)
+		}
+		for i, set := range got {
+			if i >= len(want) || set != want[i].set {
+				t.Fatalf("workers %d: emitted set %d = %s, not the reference sequence", workers, i, set)
+			}
+			if want[i].round != want[0].round || want[i].cluster != want[0].cluster {
+				t.Fatalf("workers %d: emitted %d sets after the cancel, reaching round %d cluster %d past round %d cluster %d",
+					workers, len(got), want[i].round, want[i].cluster, want[0].round, want[0].cluster)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,10 @@ package hyfd
 
 import (
 	"context"
-	"sort"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
 
 	"normalize/internal/bitset"
 	"normalize/internal/plistore"
@@ -17,61 +20,113 @@ import (
 // every cluster member with its neighbour at the next larger window
 // distance — the progressive widening of HyFD's sampling phase. Every
 // compared pair yields an agree set; duplicates are suppressed.
+//
+// The records are copied once into a row-major matrix in that sorted
+// (rank) order, and every cluster is kept as ascending rank positions,
+// so a comparison reads two contiguous rows. A worker slot compares a
+// whole cluster into reused word buffers and keeps only the cluster's
+// distinct agree sets, in first-occurrence order; the commit drops the
+// sets an earlier cluster produced and emits the rest. That is the
+// order of the plain pair-by-pair sweep (cluster order, then pair
+// order), so the emitted sequence is the same at every worker count.
 type sampler struct {
-	enc        *relation.Encoded
-	n          int
-	clusters   [][]int
-	window     int // next window distance to run (1-based)
+	n          int     // attributes
+	nw         int     // words per agree set
+	rows       []int32 // codes in rank order: rank p is rows[p*n : p*n+n]
+	members    []int32 // every cluster's rank positions, ascending per cluster
+	bounds     []int   // cluster c is members[bounds[c]:bounds[c+1]]
+	window     int     // next window distance to run (1-based)
 	maxCluster int
 	seen       map[string]bool
+	key        []byte        // commit's seen-key scratch
+	slots      []*sampleSlot // per-worker comparison scratch
 }
 
 func newSampler(enc *relation.Encoded, handles []*plistore.Handle) (*sampler, error) {
+	if enc.NumRows > math.MaxInt32 {
+		return nil, fmt.Errorf("hyfd: sampling supports at most %d rows, got %d", math.MaxInt32, enc.NumRows)
+	}
+	n := len(handles)
 	s := &sampler{
-		enc:    enc,
-		n:      len(handles),
+		n:      n,
+		nw:     (n + 63) / 64,
 		window: 1,
 		seen:   make(map[string]bool),
 	}
 	// Rank rows by a lexicographic sort of their full code vectors so
 	// that neighbours inside a cluster are similar on other attributes
-	// too, which makes their agree sets large and informative.
-	rows := make([]int, enc.NumRows)
-	for i := range rows {
-		rows[i] = i
+	// too, which makes their agree sets large and informative: a
+	// least-significant-column-first radix sort, one stable counting
+	// pass per column.
+	order := make([]int32, enc.NumRows)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		ri, rj := rows[i], rows[j]
-		for a := 0; a < s.n; a++ {
-			ci, cj := enc.Columns[a][ri], enc.Columns[a][rj]
-			if ci != cj {
-				return ci < cj
-			}
+	tmp := make([]int32, enc.NumRows)
+	var count []int
+	for a := n - 1; a >= 0; a-- {
+		col := enc.Columns[a]
+		hi := 0
+		for _, c := range col {
+			hi = max(hi, c)
 		}
-		return false
-	})
-	rank := make([]int, enc.NumRows)
-	for pos, r := range rows {
-		rank[r] = pos
+		count = append(count[:0], make([]int, hi+2)...)
+		for _, r := range order {
+			count[col[r]+1]++
+		}
+		for c := 1; c < len(count); c++ {
+			count[c] += count[c-1]
+		}
+		for _, r := range order {
+			tmp[count[col[r]]] = r
+			count[col[r]]++
+		}
+		order, tmp = tmp, order
+	}
+	s.rows = make([]int32, enc.NumRows*n)
+	for pos, r := range order {
+		row := s.rows[pos*n : pos*n+n]
+		for a := range row {
+			row[a] = int32(enc.Columns[a][r])
+		}
 	}
 
-	// The sampler copies (and re-sorts) every cluster it keeps, so each
-	// partition is only pinned while its clusters are read.
+	// Each partition is only pinned while its clusters are copied. A
+	// cluster's members are placed by a walk over the rows in rank
+	// order, so they come out ascending without a sort.
+	size, nclusters := 0, 0
+	for _, h := range handles {
+		size += h.Size()
+		nclusters += h.NumClusters()
+	}
+	s.members = make([]int32, size)
+	s.bounds = make([]int, 1, nclusters+1)
+	clusterOf := tmp // row → cluster of the current partition, or -1
+	var next []int   // cluster → its next free member slot
 	for _, h := range handles {
 		p, err := h.Acquire()
 		if err != nil {
 			return nil, err
 		}
-		for _, cluster := range p.Clusters() {
-			c := make([]int, len(cluster))
-			copy(c, cluster)
-			sort.Slice(c, func(i, j int) bool { return rank[c[i]] < rank[c[j]] })
-			s.clusters = append(s.clusters, c)
-			if len(c) > s.maxCluster {
-				s.maxCluster = len(c)
+		for i := range clusterOf {
+			clusterOf[i] = -1
+		}
+		next = next[:0]
+		for c, cluster := range p.Clusters() {
+			for _, r := range cluster {
+				clusterOf[r] = int32(c)
 			}
+			next = append(next, s.bounds[len(s.bounds)-1])
+			s.bounds = append(s.bounds, next[c]+len(cluster))
+			s.maxCluster = max(s.maxCluster, len(cluster))
 		}
 		h.Release()
+		for pos, r := range order {
+			if c := clusterOf[r]; c >= 0 {
+				s.members[next[c]] = int32(pos)
+				next[c]++
+			}
+		}
 	}
 	return s, nil
 }
@@ -80,69 +135,171 @@ func newSampler(enc *relation.Encoded, handles []*plistore.Handle) (*sampler, er
 // comparisons.
 func (s *sampler) hasMore() bool { return s.window < s.maxCluster }
 
+func (s *sampler) numClusters() int { return len(s.bounds) - 1 }
+
+func (s *sampler) cluster(c int) []int32 { return s.members[s.bounds[c]:s.bounds[c+1]] }
+
 // run executes up to rounds window-widening passes, calling emit for
-// every agree set not seen before. With a pool the per-cluster pair
-// comparisons run on the workers; the dedup against seen and the emit
-// happen in the pool's ordered commit, so the emitted sequence is
-// byte-identical to the serial sweep (cluster order, then pair order)
-// at every worker count — while emit (FD induction) overlaps the
-// comparison of later clusters.
+// every agree set not seen before. Each cluster is compared on one
+// slot and then committed, in cluster order; the commit polls ctx
+// first, so a cancellation stops the run at the end of the cluster
+// being emitted. With a pool the comparisons run on the workers, and
+// the pool's ordered commit emits while later clusters are compared;
+// without one the same steps run inline on one slot.
 func (s *sampler) run(ctx context.Context, rounds int, pool *wsteal.Pool, emit func(*bitset.Set) error) error {
+	workers := 1
+	if pool != nil {
+		workers = pool.Workers()
+	}
+	for len(s.slots) < workers {
+		s.slots = append(s.slots, &sampleSlot{agree: make([]uint64, s.nw)})
+	}
+	commit := func(sets []uint64) error {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
+		return s.emitNew(sets, emit)
+	}
 	for r := 0; r < rounds && s.hasMore(); r++ {
 		w := s.window
 		s.window++
-		if pool != nil && len(s.clusters) >= 2 {
-			perCluster := make([][]*bitset.Set, len(s.clusters))
-			err := pool.Run(ctx, "hyfd sampling", len(s.clusters), func(i, _ int) error {
-				cluster := s.clusters[i]
-				var sets []*bitset.Set
-				for j := 0; j+w < len(cluster); j++ {
-					sets = append(sets, s.agreeSet(cluster[j], cluster[j+w]))
-				}
-				perCluster[i] = sets
-				return nil
-			}, func(i int) error {
-				for _, a := range perCluster[i] {
-					k := a.Key()
-					if s.seen[k] {
-						continue
-					}
-					s.seen[k] = true
-					if err := emit(a); err != nil {
-						return err
-					}
-				}
-				perCluster[i] = nil
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		for _, cluster := range s.clusters {
-			for i := 0; i+w < len(cluster); i++ {
-				a := s.agreeSet(cluster[i], cluster[i+w])
-				k := a.Key()
-				if s.seen[k] {
-					continue
-				}
-				s.seen[k] = true
-				if err := emit(a); err != nil {
+		if pool == nil || s.numClusters() < 2 {
+			for c := 0; c < s.numClusters(); c++ {
+				if err := commit(s.slots[0].compare(s, s.cluster(c), w)); err != nil {
 					return err
 				}
 			}
+			continue
+		}
+		perCluster := make([][]uint64, s.numClusters())
+		err := pool.Run(ctx, "hyfd sampling", s.numClusters(), func(c, slot int) error {
+			perCluster[c] = slices.Clone(s.slots[slot].compare(s, s.cluster(c), w))
+			return nil
+		}, func(c int) error {
+			sets := perCluster[c]
+			perCluster[c] = nil
+			return commit(sets)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (s *sampler) agreeSet(r1, r2 int) *bitset.Set {
-	set := bitset.New(s.n)
-	for a := 0; a < s.n; a++ {
-		if s.enc.Columns[a][r1] == s.enc.Columns[a][r2] {
-			set.Add(a)
+// emitNew emits, in order, the agree sets of one cluster's distinct
+// list that no earlier cluster produced.
+func (s *sampler) emitNew(sets []uint64, emit func(*bitset.Set) error) error {
+	for off := 0; off < len(sets); off += s.nw {
+		words := sets[off : off+s.nw]
+		s.key = s.key[:0]
+		for _, w := range words {
+			s.key = binary.LittleEndian.AppendUint64(s.key, w)
+		}
+		if s.seen[string(s.key)] {
+			continue
+		}
+		s.seen[string(s.key)] = true
+		if err := emit(bitset.FromWords(s.n, words)); err != nil {
+			return err
 		}
 	}
-	return set
+	return nil
+}
+
+// sampleSlot is one worker's comparison scratch: the current pair's
+// agree set, and the current cluster's distinct agree sets (nw words
+// each, in first-occurrence order), found through an open-addressing
+// table. A table entry counts only under the stamp of the cluster that
+// wrote it, so starting a cluster clears the table in O(1).
+type sampleSlot struct {
+	agree []uint64
+	sets  []uint64
+	table []dedupEntry
+	stamp uint32
+}
+
+type dedupEntry struct {
+	stamp uint32 // the cluster that wrote the entry
+	set   uint32 // the entry's set is sets[set*nw : set*nw+nw]
+}
+
+// compare returns the distinct agree sets of the pairs at distance w in
+// cluster, in first-occurrence order. The result is the slot's own
+// buffer, valid until the slot's next compare.
+func (sl *sampleSlot) compare(s *sampler, cluster []int32, w int) []uint64 {
+	sl.sets = sl.sets[:0]
+	if sl.stamp++; sl.stamp == 0 {
+		clear(sl.table)
+		sl.stamp = 1
+	}
+	n := s.n
+	for j := 0; j+w < len(cluster); j++ {
+		p, q := int(cluster[j])*n, int(cluster[j+w])*n
+		agreeWords(sl.agree, s.rows[p:p+n], s.rows[q:q+n])
+		sl.add(sl.agree)
+	}
+	return sl.sets
+}
+
+// agreeWords writes the attributes on which rows x and y agree into
+// dst, attribute a at bit a%64 of dst[a/64].
+func agreeWords(dst []uint64, x, y []int32) {
+	for i := range dst {
+		lo, hi := i*64, min(i*64+64, len(x))
+		xs, ys := x[lo:hi], y[lo:hi]
+		var word uint64
+		for a, v := range xs {
+			if v == ys[a] {
+				word |= 1 << uint(a)
+			}
+		}
+		dst[i] = word
+	}
+}
+
+// add appends set to the cluster's distinct sets unless it is already
+// there.
+func (sl *sampleSlot) add(set []uint64) {
+	nw := len(set)
+	count := len(sl.sets) / nw
+	if 2*(count+1) > len(sl.table) {
+		sl.grow(nw)
+	}
+	mask := len(sl.table) - 1
+	for i := int(hashWords(set)) & mask; ; i = (i + 1) & mask {
+		e := &sl.table[i]
+		if e.stamp != sl.stamp {
+			*e = dedupEntry{stamp: sl.stamp, set: uint32(count)}
+			sl.sets = append(sl.sets, set...)
+			return
+		}
+		if off := int(e.set) * nw; slices.Equal(sl.sets[off:off+nw], set) {
+			return
+		}
+	}
+}
+
+// grow doubles the table and re-inserts the current cluster's sets.
+func (sl *sampleSlot) grow(nw int) {
+	sl.table = make([]dedupEntry, max(64, 2*len(sl.table)))
+	mask := len(sl.table) - 1
+	for set := 0; set < len(sl.sets)/nw; set++ {
+		i := int(hashWords(sl.sets[set*nw:set*nw+nw])) & mask
+		for sl.table[i].stamp == sl.stamp {
+			i = (i + 1) & mask
+		}
+		sl.table[i] = dedupEntry{stamp: sl.stamp, set: uint32(set)}
+	}
+}
+
+func hashWords(words []uint64) uint64 {
+	h := uint64(len(words))
+	for _, w := range words {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
 }

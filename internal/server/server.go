@@ -530,11 +530,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	code := http.StatusAccepted
-	if job.State().Terminal() { // cache hit
-		code = http.StatusOK
+	st := statusOf(job)
+	writeJSON(w, submitCode(st), st)
+}
+
+// submitCode is the HTTP status answering a submission: 200 when the
+// result came from the cache, 202 when the job was queued to run. It
+// reads Cached rather than the state, because a pool worker can finish
+// a tiny queued job before the status snapshot is taken.
+func submitCode(st jobStatus) int {
+	if st.Cached {
+		return http.StatusOK
 	}
-	writeJSON(w, code, statusOf(job))
+	return http.StatusAccepted
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -342,6 +342,22 @@ func TestCacheFilledBeforeJobReadsDone(t *testing.T) {
 	}
 }
 
+// TestSubmitCodeFollowsCached: a submission answers 200 only for a
+// cache hit. A queued job that a worker finished before the handler
+// took its status snapshot still ran, so it answers 202.
+func TestSubmitCodeFollowsCached(t *testing.T) {
+	ran := newJob(&jobSpec{})
+	ran.state = StateDone
+	hit := newJob(&jobSpec{})
+	hit.state, hit.cached = StateDone, true
+	if code := submitCode(statusOf(ran)); code != http.StatusAccepted {
+		t.Errorf("finished uncached job answers %d, want 202", code)
+	}
+	if code := submitCode(statusOf(hit)); code != http.StatusOK {
+		t.Errorf("cache hit answers %d, want 200", code)
+	}
+}
+
 func TestLenientCSVReportsSkippedRows(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
 	h := s.Handler()
