@@ -31,14 +31,16 @@ bench-baseline:
 
 # bench-pipeline snapshots the discovery/normalization hot paths —
 # streaming ingest, validation worker counts, shared-substrate reuse,
-# the end-to-end pipeline (unconstrained and under a -max-memory
-# ceiling), the compressed PLI store (compress/decode/spill-reload),
-# and the incremental delta append (full re-run vs delta revalidation,
-# with candidates/op counters) — into a machine-readable baseline. The
-# worker-count series only spreads on multi-core hosts; the substrate
-# and allocation wins show everywhere.
+# the UCC search behind primary-key selection (inline and on a pool,
+# with plis_intersected/op), the end-to-end pipeline (unconstrained and
+# under a -max-memory ceiling), the compressed PLI store
+# (compress/decode/spill-reload), and the incremental delta append
+# (full re-run vs delta revalidation, with candidates/op counters) —
+# into a machine-readable baseline. The worker-count series only
+# spreads on multi-core hosts; the substrate and allocation wins show
+# everywhere.
 bench-pipeline:
-	$(GO) test -run '^$$' -bench 'Ingest|HyFDWorkers|HyFDSubstrate|NormalizeWorkers|Figure3TPCH|DeltaAppend|PLIStore' \
+	$(GO) test -run '^$$' -bench 'Ingest|HyFDWorkers|HyFDSubstrate|UCC|NormalizeWorkers|Figure3TPCH|DeltaAppend|PLIStore' \
 		-benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		. ./internal/plistore/ | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_pipeline.json
 	@echo "wrote BENCH_pipeline.json"

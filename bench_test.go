@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,7 @@ import (
 	"normalize/internal/scoring"
 	"normalize/internal/settrie"
 	"normalize/internal/violation"
+	"normalize/internal/wsteal"
 )
 
 // mustDS adapts a (Dataset, error) generator return for use in a
@@ -375,6 +377,57 @@ func BenchmarkUCCDiscovery(b *testing.B) {
 		bitset.Of(52, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)).Dedup()
 	for i := 0; i < b.N; i++ {
 		ucc.Discover(rel, ucc.Options{})
+	}
+}
+
+// orderLinesRelation is an order-line fact table of the shape
+// primary-key selection meets on orders-governed: a unique line id and
+// seven random columns of low or mid cardinality (customer, product,
+// warehouse, quantity, discount, ship mode, status), which only become
+// unique three or four at a time.
+func orderLinesRelation(tb testing.TB, rows int) *relation.Relation {
+	r := rand.New(rand.NewSource(1))
+	cards := []int{1500, 800, 40, 50, 11, 7, 4}
+	var buf bytes.Buffer
+	buf.WriteString("line_id,customer,product,warehouse,quantity,discount,ship_mode,status\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&buf, "L%07d", i)
+		for _, c := range cards {
+			fmt.Fprintf(&buf, ",%d", r.Intn(c))
+		}
+		buf.WriteByte('\n')
+	}
+	rel, err := relation.ReadCSV("orderlines", &buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rel
+}
+
+// BenchmarkUCCWorkers measures the UCC search behind primary-key
+// selection on a 60 000-row order-line fact table, with each level's
+// intersections inline (workers-1) or on a work-stealing pool
+// (workers-2; clamped to the host's CPUs), as the pipeline runs it.
+// plis_intersected/op is the search's work counter, the same at every
+// worker count.
+func BenchmarkUCCWorkers(b *testing.B) {
+	rel := orderLinesRelation(b, 60000)
+	for _, workers := range []int{1, 2} {
+		b.Run("orderlines/workers-"+itoa(workers), func(b *testing.B) {
+			var pool *wsteal.Pool
+			if w := wsteal.ClampWorkers(workers); w > 1 {
+				pool = wsteal.New(w)
+				defer pool.Close()
+			}
+			obs := &counterObserver{name: observe.CounterPLIsIntersected}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ucc.DiscoverContext(context.Background(), rel, ucc.Options{Observer: obs, Pool: pool}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(obs.total)/float64(b.N), observe.CounterPLIsIntersected+"/op")
+		})
 	}
 }
 

@@ -87,8 +87,7 @@ func DiscoverKeysContext(ctx context.Context, rel *Relation) ([]*AttrSet, error)
 
 // DiscoverKeysHybrid is DiscoverKeys, kept for API compatibility.
 // Minimal UCCs are unique, so every search algorithm returns the same
-// keys, and the level-wise search is as fast as a hybrid one on the
-// already-normalized tables keys are picked for (§5).
+// keys, and a hybrid search measured no faster than the level-wise one.
 func DiscoverKeysHybrid(rel *Relation) []*AttrSet {
 	return DiscoverKeys(rel)
 }

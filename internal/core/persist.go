@@ -10,7 +10,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"normalize/internal/bitset"
 	"normalize/internal/fd"
@@ -60,21 +59,20 @@ type foreignKeyWire struct {
 	RefTable string `json:"ref_table"`
 }
 
-// statsWire mirrors Stats with durations in nanoseconds.
+// statsWire mirrors Stats without its wall-clock durations, so two
+// runs of one input encode to the same bytes at any worker count.
+// Encodings from before the durations were dropped carry them as
+// discovery_ns, closure_ns, key_derivation_ns and violation_ns; the
+// decoder ignores those fields, so a decoded result reports zero
+// durations.
 type statsWire struct {
-	Attrs        int     `json:"attrs"`
-	Records      int     `json:"records"`
-	NumFDs       int     `json:"num_fds"`
-	NumFDKeys    int     `json:"num_fd_keys"`
-	AvgRhsBefore float64 `json:"avg_rhs_before"`
-	AvgRhsAfter  float64 `json:"avg_rhs_after"`
-
-	DiscoveryNS     int64 `json:"discovery_ns"`
-	ClosureNS       int64 `json:"closure_ns"`
-	KeyDerivationNS int64 `json:"key_derivation_ns"`
-	ViolationNS     int64 `json:"violation_ns"`
-
-	Decompositions int `json:"decompositions"`
+	Attrs          int     `json:"attrs"`
+	Records        int     `json:"records"`
+	NumFDs         int     `json:"num_fds"`
+	NumFDKeys      int     `json:"num_fd_keys"`
+	AvgRhsBefore   float64 `json:"avg_rhs_before"`
+	AvgRhsAfter    float64 `json:"avg_rhs_after"`
+	Decompositions int     `json:"decompositions"`
 }
 
 type degradationWire struct {
@@ -88,7 +86,9 @@ const resultWireVersion = 1
 
 // EncodeResult serializes a Result for persistence. The encoding is
 // self-contained: DecodeResult on another process rebuilds a Result
-// whose tables render identical DDL, schema JSON, and instances.
+// whose tables render identical DDL, schema JSON, and instances. It is
+// also reproducible: Stats' wall-clock durations are not written, so
+// runs of one input encode byte-identically at every worker count.
 func EncodeResult(res *Result) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("core: cannot encode nil result")
@@ -96,17 +96,13 @@ func EncodeResult(res *Result) ([]byte, error) {
 	w := resultWire{
 		Version: resultWireVersion,
 		Stats: statsWire{
-			Attrs:           res.Stats.Attrs,
-			Records:         res.Stats.Records,
-			NumFDs:          res.Stats.NumFDs,
-			NumFDKeys:       res.Stats.NumFDKeys,
-			AvgRhsBefore:    res.Stats.AvgRhsBefore,
-			AvgRhsAfter:     res.Stats.AvgRhsAfter,
-			DiscoveryNS:     int64(res.Stats.Discovery),
-			ClosureNS:       int64(res.Stats.Closure),
-			KeyDerivationNS: int64(res.Stats.KeyDerivation),
-			ViolationNS:     int64(res.Stats.Violation),
-			Decompositions:  res.Stats.Decompositions,
+			Attrs:          res.Stats.Attrs,
+			Records:        res.Stats.Records,
+			NumFDs:         res.Stats.NumFDs,
+			NumFDKeys:      res.Stats.NumFDKeys,
+			AvgRhsBefore:   res.Stats.AvgRhsBefore,
+			AvgRhsAfter:    res.Stats.AvgRhsAfter,
+			Decompositions: res.Stats.Decompositions,
 		},
 	}
 	for _, d := range res.Degradations {
@@ -184,10 +180,6 @@ func DecodeResult(data []byte) (*Result, error) {
 			NumFDKeys:      w.Stats.NumFDKeys,
 			AvgRhsBefore:   w.Stats.AvgRhsBefore,
 			AvgRhsAfter:    w.Stats.AvgRhsAfter,
-			Discovery:      time.Duration(w.Stats.DiscoveryNS),
-			Closure:        time.Duration(w.Stats.ClosureNS),
-			KeyDerivation:  time.Duration(w.Stats.KeyDerivationNS),
-			Violation:      time.Duration(w.Stats.ViolationNS),
 			Decompositions: w.Stats.Decompositions,
 		},
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"normalize/internal/datagen"
 	"normalize/internal/relation"
 )
 
@@ -34,7 +35,6 @@ func TestResultEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Stats.Discovery = 123 * time.Millisecond // exercise duration fields
 	res.Degradations = append(res.Degradations, Degradation{
 		Stage: "fd-discovery", Budget: "max-rows", Action: "sampled rows", Detail: "5 of 10",
 	})
@@ -74,8 +74,11 @@ func TestResultEncodeDecodeRoundTrip(t *testing.T) {
 			t.Errorf("table %d: null attrs differ", i)
 		}
 	}
-	if back.Stats != res.Stats {
-		t.Errorf("stats: %+v != %+v", back.Stats, res.Stats)
+	// Wall-clock durations are not encoded; everything else round-trips.
+	wantStats := res.Stats
+	wantStats.Discovery, wantStats.Closure, wantStats.KeyDerivation, wantStats.Violation = 0, 0, 0, 0
+	if back.Stats != wantStats {
+		t.Errorf("stats: %+v != %+v", back.Stats, wantStats)
 	}
 	if len(back.Degradations) != len(res.Degradations) ||
 		back.Degradations[0] != res.Degradations[0] {
@@ -90,6 +93,69 @@ func TestResultEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, data2) {
 		t.Error("encode(decode(encode(res))) differs from encode(res)")
+	}
+
+	// The encoding is reproducible: runs of one input at workers 1 and
+	// 2 encode to the same bytes.
+	ds, err := datagen.TPCH(0.0001, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var encs [2][]byte
+	for i, workers := range []int{1, 2} {
+		r, err := NormalizeRelation(ds.Denormalized, Options{MaxLhs: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if encs[i], err = EncodeResult(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(encs[0], encs[1]) {
+		t.Errorf("encodings of one input differ between workers 1 (%d bytes) and 2 (%d bytes)", len(encs[0]), len(encs[1]))
+	}
+}
+
+// TestDecodeResultIgnoresEncodedDurations: an encoding that still
+// carries the four wall-clock durations decodes, reports them as zero,
+// and re-encodes to the bytes of the current encoding.
+func TestDecodeResultIgnoresEncodedDurations(t *testing.T) {
+	res, err := NormalizeRelation(figure2Relation(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w map[string]any
+	if err := json.Unmarshal(data, &w); err != nil {
+		t.Fatal(err)
+	}
+	stats := w["stats"].(map[string]any)
+	for _, f := range []string{"discovery_ns", "closure_ns", "key_derivation_ns", "violation_ns"} {
+		if _, ok := stats[f]; ok {
+			t.Fatalf("encoding carries %s", f)
+		}
+		stats[f] = int64(123 * time.Millisecond)
+	}
+	older, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeResult(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := back.Stats; s.Discovery != 0 || s.Closure != 0 || s.KeyDerivation != 0 || s.Violation != 0 {
+		t.Errorf("decoded durations %v %v %v %v, want zero", s.Discovery, s.Closure, s.KeyDerivation, s.Violation)
+	}
+	again, err := EncodeResult(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Error("re-encoding the older payload differs from the current encoding")
 	}
 }
 

@@ -245,8 +245,9 @@ type run struct {
 	// scores memoizes the exact per-attribute-set facts behind candidate
 	// scoring, bound to the root instance after buildRoot.
 	scores *scoreIndex
-	// pool runs the batched score measurement; created on first use
-	// (workPool), nil for a serial run.
+	// pool runs the batched score measurement and primary-key
+	// selection's lattice levels; created on first use (workPool), nil
+	// for a serial run.
 	pool *wsteal.Pool
 	// timedKeys and timedViolation record that Stats.KeyDerivation and
 	// Stats.Violation hold their stage's first call.
@@ -332,7 +333,7 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 			if t.PrimaryKey != nil {
 				continue
 			}
-			if err := selectPrimaryKey(ctx, t, p.decider, p.opts.Observer, p.cache); err != nil {
+			if err := selectPrimaryKey(ctx, t, p.decider, p.opts.Observer, p.cache, p.workPool()); err != nil {
 				if ex, ok := isBudgetTrip(err); ok {
 					// A trip skips the remaining tables; without a
 					// primary key they stay as the loop left them.
@@ -908,17 +909,17 @@ func (p *run) workPool() *wsteal.Pool {
 // selectPrimaryKey implements component (7): discover all minimal keys
 // of the table (DUCC-style UCC discovery), drop keys with nulls, rank
 // them (Section 7.1), and let the decider choose. The UCC discovery
-// reports its work counters to obs under the primary-key stage, and
-// draws its encoding and single-column partitions from the shared
-// substrate cache (a hit for every table the decomposition loop
-// produced), whose store holds — and, when governed, charges — its
-// retained partitions.
-func selectPrimaryKey(ctx context.Context, t *Table, decider Decider, obs observe.Observer, cache *plicache.Cache) error {
+// reports its work counters to obs under the primary-key stage, runs
+// each level's intersections on pool (inline when nil), and draws its
+// encoding and single-column partitions from the shared substrate
+// cache (a hit for every table the decomposition loop produced), whose
+// store holds — and, when governed, charges — its retained partitions.
+func selectPrimaryKey(ctx context.Context, t *Table, decider Decider, obs observe.Observer, cache *plicache.Cache, pool *wsteal.Pool) error {
 	sub, err := cache.For(ctx, t.Data)
 	if err != nil {
 		return err
 	}
-	uccs, err := ucc.DiscoverContext(ctx, t.Data, ucc.Options{Observer: obs, Substrate: sub})
+	uccs, err := ucc.DiscoverContext(ctx, t.Data, ucc.Options{Observer: obs, Substrate: sub, Pool: pool})
 	if err != nil {
 		return err
 	}

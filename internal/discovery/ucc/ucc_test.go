@@ -108,8 +108,11 @@ func TestMaxSize(t *testing.T) {
 	}
 }
 
-func TestRandomAgainstBruteForce(t *testing.T) {
+// randomRelations returns 40 small random relations of 2–6 attributes,
+// 3–32 rows and 2–5 values per column.
+func randomRelations() []*relation.Relation {
 	r := rand.New(rand.NewSource(5))
+	var rels []*relation.Relation
 	for trial := 0; trial < 40; trial++ {
 		attrs := 2 + r.Intn(5)
 		rows := 3 + r.Intn(30)
@@ -126,9 +129,15 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			}
 			data[i] = row
 		}
-		rel := relation.MustNew("rand", names, data)
+		rels = append(rels, relation.MustNew("rand", names, data))
+	}
+	return rels
+}
+
+func TestRandomAgainstBruteForce(t *testing.T) {
+	for trial, rel := range randomRelations() {
 		got := keysOf(Discover(rel, Options{}))
-		want := keysOf(bruteforce.DiscoverUCCs(rel, attrs))
+		want := keysOf(bruteforce.DiscoverUCCs(rel, rel.NumAttrs()))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}

@@ -182,3 +182,57 @@ func TestIntersectIntoConcurrentSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestIntersectIntoCodeColumn: a dictionary code column is itself a
+// row → id index, so probing a partition into the codes of column y
+// yields the partition of X∪{y} without y's partition. The product has
+// the same row sets, Size and NumClusters as intersecting with y's
+// partition, and the same clusters in the same order as probing into
+// that partition's inverted index. The columns cover a frequent null
+// code, all-singleton values and a single value, against a column
+// partition and against an intersected one.
+func TestIntersectIntoCodeColumn(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	var ix Intersector
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(120)
+		cx, cw := 1+r.Intn(8), 1+r.Intn(8)
+		x, w := make([]int, n), make([]int, n)
+		for i := range x {
+			x[i], w[i] = r.Intn(cx), r.Intn(cw)
+		}
+		px := FromColumn(x, cx)
+		probes := []*PLI{px, px.Intersect(FromColumn(w, cw))}
+
+		var cols [][]int
+		var cards []int
+		nullish, card := make([]int, n), 1+r.Intn(6)
+		for i := range nullish {
+			if r.Intn(3) > 0 {
+				nullish[i] = r.Intn(card) // code 0 stands for null
+			}
+		}
+		distinct, single := make([]int, n), make([]int, n)
+		for i := range distinct {
+			distinct[i] = i
+		}
+		cols = append(cols, nullish, distinct, single)
+		cards = append(cards, card, n, 1)
+
+		for c, codes := range cols {
+			py := FromColumn(codes, cards[c])
+			for k, p := range probes {
+				got := ix.IntersectInto(nil, p, codes)
+				want := p.Intersect(py)
+				if !reflect.DeepEqual(sortClusters(got.Clusters()), sortClusters(want.Clusters())) ||
+					got.Size() != want.Size() || got.NumClusters() != want.NumClusters() {
+					t.Fatalf("trial %d column %d probe %d: code probe %v (size %d, %d clusters), partition product %v (size %d, %d clusters)",
+						trial, c, k, got.Clusters(), got.Size(), got.NumClusters(), want.Clusters(), want.Size(), want.NumClusters())
+				}
+				if inv := snapshotClusters(ix.IntersectInto(nil, p, py.Inverted())); !reflect.DeepEqual(snapshotClusters(got), inv) {
+					t.Fatalf("trial %d column %d probe %d: code probe %v, inverted-index probe %v", trial, c, k, got.Clusters(), inv)
+				}
+			}
+		}
+	}
+}

@@ -318,11 +318,16 @@ func (ix *Intersector) IntersectCount(p *PLI, inv []int) (size, clusters int) {
 }
 
 // IntersectInto computes the product of p and the partition whose
-// row → cluster index is inv, reusing the Intersector's scratch.
+// row → cluster index is inv, reusing the Intersector's scratch. inv
+// may be any row → id index whose ids lie below p.NumRows(), with -1
+// for rows that belong to no cluster: an Inverted index, or a
+// dictionary code column (codes are dense, so below the row count),
+// which probes p against that column without building its partition.
 // Singleton clusters of the product are stripped eagerly, and the
 // result's cluster order is deterministic (first-touch order per
-// cluster of p). The result is carved from buf (see Buffer for its
-// lifetime); with a nil buf it owns fresh memory.
+// cluster of p), so it is the same for a code column as for its
+// partition's inverted index. The result is carved from buf (see
+// Buffer for its lifetime); with a nil buf it owns fresh memory.
 func (ix *Intersector) IntersectInto(buf *Buffer, p *PLI, inv []int) *PLI {
 	ix.ensure(p.numRows)
 	var slab []int

@@ -563,6 +563,11 @@ func (m *manager) runJob(job *Job) {
 func (m *manager) complete(job *Job, res *normalize.Result, err error) State {
 	state, res, err := classify(res, err)
 	if res != nil {
+		// Serve the result as the job store keeps it: EncodeResult leaves
+		// out the wall-clock durations, so a restart, a standby or a
+		// rehydrated cache serves the same schema JSON as this process.
+		// Per-stage timings stay in the job's telemetry.
+		res.Stats.Discovery, res.Stats.Closure, res.Stats.KeyDerivation, res.Stats.Violation = 0, 0, 0, 0
 		m.p.result(job.ID, job.spec.key, res)
 	}
 	if state == StateDone {

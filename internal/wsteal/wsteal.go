@@ -1,6 +1,8 @@
 // Package wsteal provides a work-stealing scheduler for index-addressed
 // task batches, built for the level-wise candidate validation loops of
-// dependency discovery (HyFD, from scratch and revalidating).
+// dependency discovery (HyFD, from scratch and revalidating). The
+// pipeline's own pool runs the score index's distinct-count batches and
+// the UCC search's lattice levels on it too.
 //
 // The previous generation of those loops spawned a fresh goroutine pool
 // per lattice level and fed it one candidate at a time through a

@@ -298,7 +298,9 @@ func NormalizeDelta(ctx context.Context, base *Relation, rows [][]string, parent
 
 // EncodeResult serializes a Result — including the FD cover and exact
 // scoring facts NormalizeDelta needs — into a self-contained payload
-// that DecodeResult restores in another process.
+// that DecodeResult restores in another process. The payload leaves
+// out Stats' wall-clock durations, so it is the same bytes for every
+// run of one input; a decoded Result reports them as zero.
 func EncodeResult(res *Result) ([]byte, error) {
 	return core.EncodeResult(res)
 }
