@@ -6,6 +6,7 @@ GO ?= go
 .PHONY: check test race vet bench-baseline bench-pipeline clean
 
 check: vet
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) test ./...
 

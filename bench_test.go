@@ -33,7 +33,6 @@ import (
 	"normalize/internal/observe"
 	"normalize/internal/plicache"
 	"normalize/internal/relation"
-	"normalize/internal/scoring"
 	"normalize/internal/settrie"
 	"normalize/internal/violation"
 	"normalize/internal/wsteal"
@@ -294,27 +293,6 @@ func BenchmarkAblationParallelClosure(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationBloomVsExact isolates design decision 5: the Bloom
-// estimate versus exact distinct counting in the duplication score.
-func BenchmarkAblationBloomVsExact(b *testing.B) {
-	ds := mustDS(b)(datagen.TPCH(0.0005, 1))
-	rel := ds.Denormalized
-	f := &fd.FD{
-		Lhs: bitset.Of(rel.NumAttrs(), 1),
-		Rhs: bitset.Of(rel.NumAttrs(), 2, 3, 4),
-	}
-	b.Run("bloom", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scoring.DuplicationScore(rel, f, scoring.EstimateDistinctBloom)
-		}
-	})
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scoring.DuplicationScore(rel, f, scoring.EstimateDistinctExact)
-		}
-	})
 }
 
 // BenchmarkAblationKeyTrie isolates design decision 6: the key prefix

@@ -10,8 +10,12 @@ import (
 
 // Decompose splits table t by the violating FD X → Y (universal space)
 // into R1 = R \ Y (which keeps X and receives the foreign key X) and
-// R2 = X ∪ Y (which receives the primary key X). Both instances are
-// materialized from t.Data with set semantics; the FD cover is
+// R2 = X ∪ Y (which receives the primary key X). R2 is materialized
+// from t.Data with set semantics. R1 is the plain projection, which
+// shares t.Data's code columns: t.Data has no duplicate rows, and R1
+// keeps X, which determines Y, so two rows equal on R1 are equal on all
+// of R and the projection has no duplicates to drop. This relies on
+// X → Y holding on t.Data (see Options.Discover). The FD cover is
 // projected onto both parts per Lemma 3. The parent's primary key, if
 // any, stays valid in R1 because violation detection removed its
 // attributes from every violating RHS.
@@ -49,7 +53,7 @@ func DecomposeContext(ctx context.Context, t *Table, v *fd.FD, usedNames map[str
 	r1 = &Table{
 		Name:        t.Name,
 		Attrs:       r1Attrs,
-		Data:        t.Data.ProjectDedupSet(t.Name, t.localSet(r1Attrs)),
+		Data:        t.Data.ProjectSet(t.Name, t.localSet(r1Attrs)),
 		FDs:         projectFDs(t.FDs, r1Attrs),
 		PrimaryKey:  clonePK(t.PrimaryKey),
 		NullAttrs:   t.NullAttrs,

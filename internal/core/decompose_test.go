@@ -1,10 +1,19 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"normalize/internal/bitset"
+	"normalize/internal/closure"
+	"normalize/internal/discovery/hyfd"
 	"normalize/internal/fd"
+	"normalize/internal/keys"
+	"normalize/internal/plicache"
+	"normalize/internal/plistore"
+	"normalize/internal/relation"
 )
 
 // makeTable builds a 5-attribute table over the address example for
@@ -144,4 +153,102 @@ func TestVerifyNormalFormDetectsViolation(t *testing.T) {
 	if err := VerifyNormalForm(tbl); err == nil {
 		t.Error("VerifyNormalForm accepted a BCNF-violating table")
 	}
+}
+
+// dependentRelation draws a relation of a few random columns with
+// small value pools followed by columns that are each a function of
+// the first or second, so the closed cover has violating FDs. Those two
+// have no nulls, since a violating LHS becomes a primary key; the other
+// random columns and the functions do. The small pools make duplicate
+// rows likely.
+func dependentRelation(r *rand.Rand, rows int) *relation.Relation {
+	base, dep := 3+r.Intn(2), 1+r.Intn(3)
+	cards, src, mods := make([]int, base), make([]int, dep), make([]int, dep)
+	for c := range cards {
+		cards[c] = 2 + r.Intn(4)
+	}
+	for j := range src {
+		src[j], mods[j] = r.Intn(2), 2+r.Intn(3)
+	}
+	names := make([]string, base+dep)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%d", i)
+	}
+	data := make([][]string, rows)
+	vals := make([]int, base)
+	for i := range data {
+		row := make([]string, base+dep)
+		for c := range vals {
+			vals[c] = r.Intn(cards[c])
+			if c >= 2 && r.Float64() < 0.15 {
+				continue // null
+			}
+			row[c] = fmt.Sprintf("v%d", vals[c])
+		}
+		for j, c := range src {
+			if m := vals[c] % mods[j]; m != 0 {
+				row[base+j] = fmt.Sprintf("w%d", m) // null when m is 0
+			}
+		}
+		data[i] = row
+	}
+	return relation.MustNew("dep", names, data)
+}
+
+// TestDecomposeRemainderNeedsNoDedup pins why DecomposeContext builds
+// R1 = R \ Y as a plain projection: the root is duplicate-free and R1
+// keeps X, which determines Y, so the projection already equals the
+// deduplicated one — rows, codes, cardinalities, null flags and
+// dictionaries. Each input has nulls and duplicate rows; the FDs are
+// every violating FD of the closed HyFD cover and, for each with a
+// multi-attribute RHS, the FD with one RHS attribute pruned, as a
+// FuncDecider may return it.
+func TestDecomposeRemainderNeedsNoDedup(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	var dupInputs, checked, pruned int
+	for trial := 0; trial < 40; trial++ {
+		rel := dependentRelation(r, 20+r.Intn(60))
+		if rel.DistinctCount(bitset.Full(rel.NumAttrs())) < rel.NumRows() {
+			dupInputs++
+		}
+		fds := hyfd.Discover(rel, hyfd.Options{Workers: 1})
+		closure.OptimizedParallel(fds, 1)
+		p := &run{cache: plicache.NewCache(plistore.New(nil, ""))}
+		root := p.buildRoot(rel, fds)
+		root.Keys = keys.Derive(root.FDs, root.Attrs)
+
+		check := func(v *fd.FD) {
+			t.Helper()
+			r1, _ := Decompose(root, v, map[string]bool{root.Name: true})
+			want := root.Data.ProjectDedupSet(root.Name, root.localSet(root.Attrs.Difference(v.Rhs)))
+			got, wantEnc := r1.Data.Encode(), want.Encode()
+			switch {
+			case got.NumRows != wantEnc.NumRows:
+				t.Fatalf("trial %d split %s: R1 has %d rows, dedup %d", trial, v, got.NumRows, wantEnc.NumRows)
+			case !reflect.DeepEqual(got.Columns, wantEnc.Columns):
+				t.Fatalf("trial %d split %s: R1 codes differ from the dedup projection's", trial, v)
+			case !reflect.DeepEqual(got.Cardinality, wantEnc.Cardinality):
+				t.Fatalf("trial %d split %s: cardinalities %v, dedup %v", trial, v, got.Cardinality, wantEnc.Cardinality)
+			case !reflect.DeepEqual(got.HasNull, wantEnc.HasNull):
+				t.Fatalf("trial %d split %s: null flags %v, dedup %v", trial, v, got.HasNull, wantEnc.HasNull)
+			case !reflect.DeepEqual(r1.Data.Columnar().Dicts, want.Columnar().Dicts):
+				t.Fatalf("trial %d split %s: dictionaries differ from the dedup projection's", trial, v)
+			}
+			checked++
+		}
+		for _, v := range p.detect(root) {
+			check(v)
+			if v.Rhs.Cardinality() > 1 {
+				c := v.Clone()
+				c.Rhs.Remove(c.Rhs.First())
+				check(c)
+				pruned++
+			}
+		}
+	}
+	if dupInputs == 0 || checked == 0 || pruned == 0 {
+		t.Fatalf("inputs with duplicate rows %d, splits checked %d, pruned %d: the test no longer exercises the property",
+			dupInputs, checked, pruned)
+	}
+	t.Logf("%d splits checked (%d pruned) over %d inputs with duplicate rows", checked, pruned, dupInputs)
 }

@@ -66,11 +66,14 @@ type Options struct {
 	// exhausted the run returns its partial result with a
 	// *PartialError wrapping the *budget.Exceeded trip.
 	Budget Budget
-	// Discover overrides the FD discovery step; nil uses HyFD. The
-	// returned set must be the complete set of minimal FDs (subject to
-	// MaxLhs) when the optimized closure is selected. Custom discovery
-	// functions do not see Budget's FD/memory ceilings (only the
-	// built-in HyFD path does); row sampling still applies.
+	// Discover overrides the FD discovery step; nil uses HyFD. Every
+	// returned FD must hold on the relation it is given, because splits
+	// rely on it: the remainder of a split is materialized without
+	// removing duplicate rows. The returned set must be the complete set
+	// of minimal FDs (subject to MaxLhs) when the optimized closure is
+	// selected. Custom discovery functions do not see Budget's FD/memory
+	// ceilings (only the built-in HyFD path does); row sampling still
+	// applies.
 	Discover func(rel *relation.Relation) *fd.Set
 	// DiscoverContext is the cancellable form of Discover and takes
 	// precedence over it when both are set.

@@ -148,7 +148,7 @@ func (ix *scoreIndex) pli(a int) *pli.PLI {
 	return c.p
 }
 
-// facts assembles the data-dependent FDScore inputs of the violating FD
+// facts assembles the data-dependent score inputs of the violating FD
 // lhs → rhs (universal index space) on table instance rows/numAttrs. It
 // reads the memo, which measure has filled for every violating FD of
 // the table; the empty set has one (empty) value combination of length

@@ -55,15 +55,13 @@ func TestNormalizeWorkersDifferential(t *testing.T) {
 		inputs = append(inputs, workersRandomRelation(r, 5+r.Intn(3), 30+r.Intn(80), 2+r.Intn(3)))
 	}
 	for i, rel := range inputs {
-		serial, err := NormalizeRelationContext(context.Background(),
-			relation.MustNew(rel.Name, rel.Attrs, cloneRows(rel.Rows())), Options{Workers: 1})
+		serial, err := NormalizeRelationContext(context.Background(), rel, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		base := schemaSignature(serial)
 		for _, w := range []int{2, 4} {
-			res, err := NormalizeRelationContext(context.Background(),
-				relation.MustNew(rel.Name, rel.Attrs, cloneRows(rel.Rows())), Options{Workers: w})
+			res, err := NormalizeRelationContext(context.Background(), rel, Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,14 +71,4 @@ func TestNormalizeWorkersDifferential(t *testing.T) {
 			}
 		}
 	}
-}
-
-// cloneRows deep-copies rows: buildRoot dedups in place, so runs over
-// the same input must not share backing arrays.
-func cloneRows(rows [][]string) [][]string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
 }

@@ -4,8 +4,10 @@
 // selection component: relations that never received a primary key
 // during decomposition need their full set of keys discovered. This
 // package implements a level-wise lattice search with stripped
-// partitions: apriori generation plus minimality pruning over a
-// set-trie. Minimal UCCs are unique, so a hybrid search would find the
+// partitions and apriori generation: a candidate is formed only when
+// every subset one attribute smaller is a non-unique node of the
+// level, so no candidate contains a known UCC and every UCC found is
+// minimal. Minimal UCCs are unique, so a hybrid search would find the
 // same keys; the level-wise one is kept alone.
 //
 // Those tables are not always small. A long fact table of
@@ -17,12 +19,11 @@
 // selection on both cores"). So each candidate X∪{y} is the product of
 // X's retained partition and y's dictionary code column, which is
 // already a row → id index: only X's partition is read, once per level
-// as the probe side. Per level,
-// the minimality and apriori checks run serially; the intersections
-// then run as one task per level node on Options.Pool (inline when it
-// is nil), each pool slot with its own intersector, and commit in node
-// order, so the keys, their order and the counters are the same at
-// every worker count.
+// as the probe side. Per level, the apriori check runs serially; the
+// intersections then run as one task per level node on Options.Pool
+// (inline when it is nil), each pool slot with its own intersector, and
+// commit in node order, so the keys, their order and the counters are
+// the same at every worker count.
 //
 // DiscoverContext supports cancellation: the lattice loop polls the
 // context and returns ctx.Err() promptly. Work counters are reported to
@@ -40,7 +41,6 @@ import (
 	"normalize/internal/plicache"
 	"normalize/internal/plistore"
 	"normalize/internal/relation"
-	"normalize/internal/settrie"
 	"normalize/internal/wsteal"
 )
 
@@ -98,13 +98,12 @@ func (c *counters) flush(obs observe.Observer) {
 
 // lattice is the state of one discovery run.
 type lattice struct {
-	enc     *relation.Encoded
-	st      *plistore.Store
-	pool    *wsteal.Pool
-	ix      []pli.Intersector // one per pool slot
-	minimal settrie.Trie
-	result  []*bitset.Set
-	c       counters
+	enc    *relation.Encoded
+	st     *plistore.Store
+	pool   *wsteal.Pool
+	ix     []pli.Intersector // one per pool slot
+	result []*bitset.Set
+	c      counters
 }
 
 // Discover returns all minimal unique column combinations of rel in
@@ -154,7 +153,6 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 		s := bitset.Of(n, a)
 		if h.IsUnique() {
 			l.result = append(l.result, s)
-			l.minimal.Insert(s)
 			continue
 		}
 		level = append(level, &node{attrs: []int{a}, set: s, part: h})
@@ -172,7 +170,8 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 }
 
 // nextLevel combines prefix-block pairs of non-unique nodes; candidates
-// containing a known UCC are skipped, unique candidates become minimal
+// with a subset one attribute smaller that is not a node of the level
+// contain a known UCC and are skipped, unique candidates become minimal
 // UCCs (minimal because all their subsets are non-unique), and the
 // remaining candidates form the next level.
 func (l *lattice) nextLevel(ctx context.Context, level []*node) ([]*node, error) {
@@ -190,9 +189,8 @@ func (l *lattice) nextLevel(ctx context.Context, level []*node) ([]*node, error)
 		present[nd.set.Key()] = true
 	}
 
-	// The checks run before any of the level's verdicts: two sets of one
-	// size never contain each other, so the UCCs this level adds cannot
-	// prune its own candidates.
+	// The check runs before any of the level's verdicts: it reads only
+	// the level's nodes, which the verdicts do not change.
 	done := ctx.Done()
 	cands := make([][]candidate, len(level))
 	for i, a := range level {
@@ -201,9 +199,6 @@ func (l *lattice) nextLevel(ctx context.Context, level []*node) ([]*node, error)
 		}
 		for j := i + 1; j < len(level) && samePrefix(a.attrs, level[j].attrs); j++ {
 			set := a.set.Union(level[j].set)
-			if l.minimal.ContainsSubsetOf(set) {
-				continue // contains a known UCC, cannot be minimal
-			}
 			if !allSubsetsPresent(set, present) {
 				continue
 			}
@@ -249,7 +244,6 @@ func (l *lattice) nextLevel(ctx context.Context, level []*node) ([]*node, error)
 			l.c.plisIntersected++
 			if c.part == nil {
 				l.result = append(l.result, c.set)
-				l.minimal.Insert(c.set)
 				continue
 			}
 			attrs := append(append(make([]int, 0, len(x.attrs)+1), x.attrs...), c.y)

@@ -11,23 +11,20 @@
 // Without this package each of those stages would rebuild the
 // per-attribute PLIs from scratch; the paper's own profiling (Sections
 // 6 and 8) identifies exactly this PLI work as the dominant cost of
-// validation-heavy discovery. A Cache deduplicates the build two ways:
-// by relation identity (the common case inside one pipeline run) and by
-// a content key over the instance (attribute names plus rows,
-// independent of the relation's name), so two tables holding identical
-// data share one substrate.
+// validation-heavy discovery. A Cache deduplicates the build by
+// relation identity: every stage of one pipeline run profiles the same
+// *relation.Relation values, and decomposition registers each child it
+// derives (PutDerived).
 //
 // The encoding itself is the relation's own backing, so wrapping it is
-// free. Projections avoid string re-encoding entirely:
-// relation.ProjectDedup derives a child's encoding from the parent's
-// integer codes, and the pipeline registers a substrate over it
-// (PutDerived).
+// free. Projections avoid string re-encoding entirely: a child's
+// encoding shares the parent's code columns (relation.Project) or is
+// derived from them (relation.ProjectDedup), and the pipeline registers
+// a substrate over it (PutDerived).
 package plicache
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -127,15 +124,11 @@ func (s *Substrate) Handle(a int) (*plistore.Handle, error) {
 }
 
 // Cache deduplicates substrate builds across the tables of one
-// pipeline run, all in the run's one store. Lookup is two-tier:
-// relation identity first (the common case — every stage profiles the
-// same *relation.Relation), then a content key over attribute names
-// and rows, so tables with identical instances under different names
-// still share one substrate. Safe for concurrent use.
+// pipeline run, all in the run's one store, keyed by relation identity.
+// Safe for concurrent use.
 type Cache struct {
 	mu    sync.Mutex
 	byRel map[*relation.Relation]*Substrate
-	byKey map[[sha256.Size]byte]*Substrate
 	store *plistore.Store
 
 	builds  atomic.Int64 // substrates made on a lookup miss
@@ -146,54 +139,29 @@ type Cache struct {
 // NewCache returns an empty substrate cache whose substrates put their
 // partitions in st.
 func NewCache(st *plistore.Store) *Cache {
-	return &Cache{
-		byRel: make(map[*relation.Relation]*Substrate),
-		byKey: make(map[[sha256.Size]byte]*Substrate),
-		store: st,
-	}
+	return &Cache{byRel: make(map[*relation.Relation]*Substrate), store: st}
 }
 
 // For returns the substrate of rel, building it at most once.
 func (c *Cache) For(ctx context.Context, rel *relation.Relation) (*Substrate, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if s, ok := c.byRel[rel]; ok {
-		c.mu.Unlock()
 		c.hits.Add(1)
 		return s, nil
 	}
-	c.mu.Unlock()
-
-	key := contentKey(rel)
-	c.mu.Lock()
-	if s, ok := c.byKey[key]; ok {
-		c.byRel[rel] = s
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return s, nil
-	}
-	c.mu.Unlock()
-
-	// Build outside the lock; a concurrent builder of the same content
-	// may race us, in which case the first stored substrate wins.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s := newSubstrate(rel.Encode(), c.store)
-	c.mu.Lock()
-	if prev, ok := c.byKey[key]; ok {
-		s = prev
-	} else {
-		c.byKey[key] = s
-		c.builds.Add(1)
-	}
 	c.byRel[rel] = s
-	c.mu.Unlock()
+	c.builds.Add(1)
 	return s, nil
 }
 
 // PutDerived registers the substrate of child over its own encoding
-// (typically the one relation.ProjectDedup derived from the parent's
-// codes), making later For calls for child hit the cache.
+// (a projection of the parent's codes), making later For calls for
+// child hit the cache.
 func (c *Cache) PutDerived(child *relation.Relation) {
 	s := newSubstrate(child.Encode(), c.store)
 	c.mu.Lock()
@@ -207,34 +175,3 @@ func (c *Cache) PutDerived(child *relation.Relation) {
 func (c *Cache) Stats() (builds, derives, hits int64) {
 	return c.builds.Load(), c.derives.Load(), c.hits.Load()
 }
-
-// contentKey hashes the instance content — attribute names and rows,
-// with length framing so concatenations cannot collide. The relation's
-// name is deliberately excluded: encoding depends only on the data.
-// Values are read through Value, so hashing never materializes rows.
-func contentKey(rel *relation.Relation) [sha256.Size]byte {
-	h := sha256.New()
-	var frame [8]byte
-	writeStr := func(s string) {
-		binary.LittleEndian.PutUint64(frame[:], uint64(len(s)))
-		h.Write(frame[:])
-		h.Write([]byte(s))
-	}
-	binary.LittleEndian.PutUint64(frame[:], uint64(len(rel.Attrs)))
-	h.Write(frame[:])
-	for _, a := range rel.Attrs {
-		writeStr(a)
-	}
-	for i, n := 0, rel.NumRows(); i < n; i++ {
-		for c := range rel.Attrs {
-			writeStr(rel.Value(i, c))
-		}
-	}
-	var key [sha256.Size]byte
-	h.Sum(key[:0])
-	return key
-}
-
-// ContentKey exposes the cache's content key; the differential tests
-// use it to pin that streaming and legacy ingest hash identically.
-func ContentKey(rel *relation.Relation) [sha256.Size]byte { return contentKey(rel) }

@@ -159,14 +159,14 @@ func TestSubstratePLILazySharing(t *testing.T) {
 	}
 }
 
-func TestCacheIdentityAndContentKey(t *testing.T) {
+// TestCacheIdentity: a cache is keyed by relation identity, so a
+// repeated lookup hits and a distinct relation gets a substrate over
+// its own encoding, even when it holds the same content.
+func TestCacheIdentity(t *testing.T) {
 	ctx := context.Background()
 	c := residentCache()
 	rel1 := relation.MustNew("one", []string{"a", "b"}, [][]string{{"x", "1"}, {"y", "2"}})
-	// Same content, different name and object.
 	rel2 := relation.MustNew("two", []string{"a", "b"}, [][]string{{"x", "1"}, {"y", "2"}})
-	// Different content.
-	rel3 := relation.MustNew("three", []string{"a", "b"}, [][]string{{"x", "1"}})
 
 	s1, err := c.For(ctx, rel1)
 	if err != nil {
@@ -183,19 +183,12 @@ func TestCacheIdentityAndContentKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2 != s1 {
-		t.Error("content-identical relations must share one substrate")
-	}
-	s3, err := c.For(ctx, rel3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 == s1 {
-		t.Error("content-distinct relations must not share a substrate")
+	if s2 == s1 || s2.Encoded() != rel2.Encode() {
+		t.Error("a distinct relation must get a substrate over its own encoding")
 	}
 	builds, _, hits := c.Stats()
-	if builds != 2 || hits != 2 {
-		t.Errorf("stats builds=%d hits=%d, want 2 and 2", builds, hits)
+	if builds != 2 || hits != 1 {
+		t.Errorf("stats builds=%d hits=%d, want 2 and 1", builds, hits)
 	}
 }
 
@@ -227,18 +220,18 @@ func TestCachePutDerived(t *testing.T) {
 }
 
 // TestCacheConcurrent hammers one cache from many goroutines under the
-// race detector: same-content relations must converge on one substrate.
+// race detector: lookups of one relation must converge on one
+// substrate.
 func TestCacheConcurrent(t *testing.T) {
 	c := residentCache()
 	ctx := context.Background()
-	rows := [][]string{{"x", "1"}, {"y", "2"}, {"x", "2"}}
+	rel := relation.MustNew("r", []string{"a", "b"}, [][]string{{"x", "1"}, {"y", "2"}, {"x", "2"}})
 	var wg sync.WaitGroup
 	subs := make([]*Substrate, 16)
 	for i := range subs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rel := relation.MustNew("r", []string{"a", "b"}, rows)
 			s, err := c.For(ctx, rel)
 			if err != nil {
 				t.Error(err)
@@ -264,6 +257,9 @@ func TestCacheConcurrent(t *testing.T) {
 		if subs[i] != subs[0] {
 			t.Fatal("concurrent builders must converge on one substrate")
 		}
+	}
+	if builds, _, hits := c.Stats(); builds != 1 || hits != int64(len(subs)-1) {
+		t.Errorf("stats builds=%d hits=%d, want 1 and %d", builds, hits, len(subs)-1)
 	}
 }
 

@@ -6,21 +6,19 @@
 // candidate is the mean of its feature scores, so a "perfect" candidate
 // scores 1.
 //
-// The duplication feature estimates distinct-value counts with a Bloom
-// filter, exactly as the paper prescribes, because exact counting is
-// too expensive inside the ranking loop (an exact variant exists for
-// the ablation benchmark).
+// The paper estimates the duplication feature's distinct-value counts
+// with a Bloom filter, because exact counting looked too expensive
+// inside the ranking loop. Here FD scores are computed from exact
+// facts instead (FDScoreFromFacts): the pipeline's score index measures
+// every distinct count it needs from position list indices, and the
+// delta plane maintains them incrementally.
 //
 // All attribute sets passed to this package are in the local index
 // space of the given relation instance (position i = i-th column).
 package scoring
 
 import (
-	"math"
-	"sort"
-
 	"normalize/internal/bitset"
-	"normalize/internal/bloom"
 	"normalize/internal/fd"
 	"normalize/internal/relation"
 )
@@ -82,25 +80,11 @@ func between(s *bitset.Set) int {
 	return (last - first + 1) - s.Cardinality()
 }
 
-// FDScore rates a violating FD as a foreign-key constraint, combining
-// the length, value, position, and duplication features of Section 7.2.
-func FDScore(rel *relation.Relation, f *fd.FD) float64 {
-	return (fdLengthScore(rel, f) +
-		valueScore(rel, f.Lhs) +
-		fdPositionScore(f) +
-		DuplicationScore(rel, f, EstimateDistinctBloom)) / 4
-}
-
 // fdLengthScore: ½(1/|X| + |Y|/(|R|-2)) — short LHS (it becomes a key)
 // and long RHS (large split-off relations raise confidence and remove
 // more redundancy). The RHS can be at most |R|-2 attributes long, which
 // normalizes its weight.
-func fdLengthScore(rel *relation.Relation, f *fd.FD) float64 {
-	return fdLengthScoreN(rel.NumAttrs(), f)
-}
-
-// fdLengthScoreN is fdLengthScore on a precomputed attribute count.
-func fdLengthScoreN(numAttrs int, f *fd.FD) float64 {
+func fdLengthScore(numAttrs int, f *fd.FD) float64 {
 	lhsPart := 1.0
 	if c := f.Lhs.Cardinality(); c > 0 {
 		lhsPart = 1 / float64(c)
@@ -124,63 +108,7 @@ func fdPositionScore(f *fd.FD) float64 {
 	return 0.5 * (1/float64(between(f.Lhs)+1) + 1/float64(between(f.Rhs)+1))
 }
 
-// DistinctEstimator estimates the number of distinct value combinations
-// of the given attributes.
-type DistinctEstimator func(rel *relation.Relation, attrs *bitset.Set) float64
-
-// EstimateDistinctBloom estimates distinct counts with a Bloom filter
-// (the paper's method). The estimate is rounded to the nearest integer:
-// true distinct counts are integral, and rounding keeps estimation
-// noise from breaking score ties between otherwise symmetric candidates
-// (the deterministic tie-break should decide those).
-func EstimateDistinctBloom(rel *relation.Relation, attrs *bitset.Set) float64 {
-	if rel.NumRows() == 0 {
-		return 0
-	}
-	f := bloom.New(rel.NumRows(), 0.01)
-	cols := attrs.Elements()
-	buf := make([]byte, 0, 64)
-	// Read through Value: this hashes dictionary strings without
-	// materializing rows.
-	for i, n := 0, rel.NumRows(); i < n; i++ {
-		buf = buf[:0]
-		for _, c := range cols {
-			buf = append(buf, rel.Value(i, c)...)
-			buf = append(buf, 0)
-		}
-		f.Add(string(buf))
-	}
-	return math.Round(f.EstimateDistinct())
-}
-
-// EstimateDistinctExact counts distinct combinations exactly; used by
-// the ablation benchmark comparing against the Bloom estimate.
-func EstimateDistinctExact(rel *relation.Relation, attrs *bitset.Set) float64 {
-	return float64(rel.DistinctCount(attrs))
-}
-
-// DuplicationScore: ½(2 - uniques(X)/values(X) - uniques(Y)/values(Y))
-// — the more duplication on both sides, the more redundancy the split
-// removes, and the likelier the FD is semantically true.
-func DuplicationScore(rel *relation.Relation, f *fd.FD, estimate DistinctEstimator) float64 {
-	rows := float64(rel.NumRows())
-	if rows == 0 {
-		return 0
-	}
-	ratio := func(attrs *bitset.Set) float64 {
-		if attrs.IsEmpty() {
-			return 1 / rows // a single (empty) combination
-		}
-		r := estimate(rel, attrs) / rows
-		if r > 1 {
-			r = 1
-		}
-		return r
-	}
-	return 0.5 * (2 - ratio(f.Lhs) - ratio(f.Rhs))
-}
-
-// FDFacts carries the data-dependent inputs of FDScore as plain
+// FDFacts carries the data-dependent inputs of an FD's score as plain
 // numbers, so callers that already know them — the core pipeline's
 // exact score index computes distinct counts from position list indices
 // and the delta plane maintains them incrementally — can score an FD
@@ -202,20 +130,21 @@ type FDFacts struct {
 	RhsDistinct int
 }
 
-// FDScoreFromFacts computes the exact FDScore of f (local index space)
-// from precomputed facts. It shares every formula with FDScore; only
-// the data-dependent inputs — max value length and distinct counts —
-// are taken from facts instead of being measured on the rows. With
-// exact facts it equals FDScore with EstimateDistinctExact.
+// FDScoreFromFacts rates a violating FD f (local index space) as a
+// foreign-key constraint, combining the length, value, position, and
+// duplication features of Section 7.2. The data-dependent inputs — max
+// value length and distinct counts — are taken from facts instead of
+// being measured on the rows.
 func FDScoreFromFacts(f *fd.FD, facts FDFacts) float64 {
-	return (fdLengthScoreN(facts.NumAttrs, f) +
+	return (fdLengthScore(facts.NumAttrs, f) +
 		valueScoreLen(facts.LhsMaxLen) +
 		fdPositionScore(f) +
 		duplicationScoreFacts(f, facts)) / 4
 }
 
-// duplicationScoreFacts mirrors DuplicationScore on precomputed
-// distinct counts.
+// duplicationScoreFacts: ½(2 - uniques(X)/values(X) - uniques(Y)/values(Y))
+// — the more duplication on both sides, the more redundancy the split
+// removes, and the likelier the FD is semantically true.
 func duplicationScoreFacts(f *fd.FD, facts FDFacts) float64 {
 	rows := float64(facts.Rows)
 	if rows == 0 {
@@ -232,47 +161,4 @@ func duplicationScoreFacts(f *fd.FD, facts FDFacts) float64 {
 		return r
 	}
 	return 0.5 * (2 - ratio(f.Lhs, facts.LhsDistinct) - ratio(f.Rhs, facts.RhsDistinct))
-}
-
-// RankedKey pairs a key candidate with its score.
-type RankedKey struct {
-	Key   *bitset.Set
-	Score float64
-}
-
-// RankKeys scores and sorts key candidates, best first. Ties break
-// deterministically by the key's element order.
-func RankKeys(rel *relation.Relation, candidates []*bitset.Set) []RankedKey {
-	out := make([]RankedKey, len(candidates))
-	for i, k := range candidates {
-		out[i] = RankedKey{Key: k, Score: KeyScore(rel, k)}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Key.String() < out[j].Key.String()
-	})
-	return out
-}
-
-// RankedFD pairs a violating FD with its score.
-type RankedFD struct {
-	FD    *fd.FD
-	Score float64
-}
-
-// RankFDs scores and sorts violating FDs, best first.
-func RankFDs(rel *relation.Relation, candidates []*fd.FD) []RankedFD {
-	out := make([]RankedFD, len(candidates))
-	for i, f := range candidates {
-		out[i] = RankedFD{FD: f, Score: FDScore(rel, f)}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].FD.String() < out[j].FD.String()
-	})
-	return out
 }

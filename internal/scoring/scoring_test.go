@@ -2,7 +2,6 @@ package scoring
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"normalize/internal/bitset"
@@ -21,6 +20,18 @@ func address() *relation.Relation {
 			{"Mike", "Cone", "14482", "Potsdam", "Jakobs"},
 			{"Thomas", "Moore", "60329", "Frankfurt", "Feldmann"},
 		})
+}
+
+// measuredFacts measures f's score facts on rel's rows, the oracle the
+// pipeline's score index is held to.
+func measuredFacts(rel *relation.Relation, f *fd.FD) FDFacts {
+	return FDFacts{
+		Rows:        rel.NumRows(),
+		NumAttrs:    rel.NumAttrs(),
+		LhsMaxLen:   rel.MaxValueLen(f.Lhs),
+		LhsDistinct: rel.DistinctCount(f.Lhs),
+		RhsDistinct: rel.DistinctCount(f.Rhs),
+	}
 }
 
 func TestPerfectKeyScoresOne(t *testing.T) {
@@ -94,30 +105,23 @@ func TestFDScorePostcodeBeatsCoincidence(t *testing.T) {
 	good := &fd.FD{Lhs: bitset.Of(5, 2), Rhs: bitset.Of(5, 3, 4)}
 	// First → Mayor-like coincidence: long values, single rhs.
 	poor := &fd.FD{Lhs: bitset.Of(5, 0), Rhs: bitset.Of(5, 4)}
-	if FDScore(rel, good) <= FDScore(rel, poor) {
-		t.Errorf("good FD %.3f must outscore poor FD %.3f",
-			FDScore(rel, good), FDScore(rel, poor))
+	g := FDScoreFromFacts(good, measuredFacts(rel, good))
+	p := FDScoreFromFacts(poor, measuredFacts(rel, poor))
+	if g <= p {
+		t.Errorf("good FD %.3f must outscore poor FD %.3f", g, p)
 	}
 }
 
-func TestDuplicationScoreBloomVsExact(t *testing.T) {
-	rel := address()
-	f := &fd.FD{Lhs: bitset.Of(5, 2), Rhs: bitset.Of(5, 3, 4)}
-	b := DuplicationScore(rel, f, EstimateDistinctBloom)
-	e := DuplicationScore(rel, f, EstimateDistinctExact)
-	if math.Abs(b-e) > 0.1 {
-		t.Errorf("bloom %.3f and exact %.3f duplication scores diverge", b, e)
-	}
-}
-
-func TestDuplicationScoreMoreDuplicatesHigher(t *testing.T) {
+func TestMoreDuplicatesScoreHigher(t *testing.T) {
 	rows := make([][]string, 100)
 	for i := range rows {
 		rows[i] = []string{fmt.Sprint(i), fmt.Sprint(i % 5), fmt.Sprint(i % 5 * 2)}
 	}
 	rel := relation.MustNew("r", []string{"id", "grp", "dep"}, rows)
-	dup := DuplicationScore(rel, &fd.FD{Lhs: bitset.Of(3, 1), Rhs: bitset.Of(3, 2)}, EstimateDistinctExact)
-	uniq := DuplicationScore(rel, &fd.FD{Lhs: bitset.Of(3, 0), Rhs: bitset.Of(3, 2)}, EstimateDistinctExact)
+	dupFD := &fd.FD{Lhs: bitset.Of(3, 1), Rhs: bitset.Of(3, 2)}
+	uniqFD := &fd.FD{Lhs: bitset.Of(3, 0), Rhs: bitset.Of(3, 2)}
+	dup := duplicationScoreFacts(dupFD, measuredFacts(rel, dupFD))
+	uniq := duplicationScoreFacts(uniqFD, measuredFacts(rel, uniqFD))
 	if dup <= uniq {
 		t.Errorf("duplicate-heavy FD %.3f must outscore unique FD %.3f", dup, uniq)
 	}
@@ -139,48 +143,20 @@ func TestScoresInUnitInterval(t *testing.T) {
 		{Lhs: bitset.New(5), Rhs: bitset.Of(5, 1)},
 	}
 	for _, f := range fds {
-		if s := FDScore(rel, f); s <= 0 || s > 1 {
-			t.Errorf("FDScore(%v) = %v outside (0,1]", f, s)
+		if s := FDScoreFromFacts(f, measuredFacts(rel, f)); s <= 0 || s > 1 {
+			t.Errorf("FDScoreFromFacts(%v) = %v outside (0,1]", f, s)
 		}
-	}
-}
-
-func TestRankKeysDeterministic(t *testing.T) {
-	rel := address()
-	cands := []*bitset.Set{bitset.Of(5, 0, 1), bitset.Of(5, 2, 0), bitset.Of(5, 4, 3)}
-	a := RankKeys(rel, cands)
-	b := RankKeys(rel, []*bitset.Set{cands[2], cands[0], cands[1]})
-	for i := range a {
-		if !a[i].Key.Equal(b[i].Key) {
-			t.Fatalf("ranking not deterministic at %d: %v vs %v", i, a[i].Key, b[i].Key)
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i-1].Score < a[i].Score {
-			t.Error("ranking not sorted descending")
-		}
-	}
-}
-
-func TestRankFDsBestFirst(t *testing.T) {
-	rel := address()
-	fds := []*fd.FD{
-		{Lhs: bitset.Of(5, 0), Rhs: bitset.Of(5, 4)},
-		{Lhs: bitset.Of(5, 2), Rhs: bitset.Of(5, 3, 4)},
-	}
-	ranked := RankFDs(rel, fds)
-	if !ranked[0].FD.Lhs.Equal(bitset.Of(5, 2)) {
-		t.Errorf("Postcode FD should rank first, got %v", ranked[0].FD)
 	}
 }
 
 func TestEmptyRelationScores(t *testing.T) {
 	rel := relation.MustNew("r", []string{"a", "b"}, nil)
 	f := &fd.FD{Lhs: bitset.Of(2, 0), Rhs: bitset.Of(2, 1)}
-	if s := DuplicationScore(rel, f, EstimateDistinctBloom); s != 0 {
+	facts := measuredFacts(rel, f)
+	if s := duplicationScoreFacts(f, facts); s != 0 {
 		t.Errorf("empty relation duplication = %v", s)
 	}
 	// Must not panic.
 	KeyScore(rel, bitset.Of(2, 0))
-	FDScore(rel, f)
+	FDScoreFromFacts(f, facts)
 }

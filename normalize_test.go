@@ -1,8 +1,13 @@
 package normalize
 
 import (
+	"context"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"normalize/internal/relation"
 )
 
 func addressRelation(t *testing.T) *Relation {
@@ -170,5 +175,83 @@ func TestPublicAPIGenerators(t *testing.T) {
 	}
 	if ds := GenerateHorse(1); ds.Denormalized.NumAttrs() != 27 {
 		t.Error("Horse generator shape wrong")
+	}
+}
+
+// TestNormalizeLeavesInputUntouched pins that a run never writes its
+// input, so callers may normalize one relation again and again: the
+// root table is a deduplicated copy, and every table reads the input's
+// code columns without changing them. TPC-H lineitem, with every fifth
+// row doubled and every seventh comment null, is normalized at workers
+// 1 and 2, and once under a memory ceiling that makes the PLI store
+// spill; after each run the input's encoding and rows must equal a
+// snapshot taken before the first.
+func TestNormalizeLeavesInputUntouched(t *testing.T) {
+	ds, err := GenerateTPCH(0.002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := ds.Original[7] // lineitem
+	var rows [][]string
+	for i, row := range src.Rows() {
+		row = append([]string(nil), row...)
+		if i%7 == 0 {
+			row[len(row)-1] = "" // null
+		}
+		rows = append(rows, row)
+		if i%5 == 0 {
+			rows = append(rows, row)
+		}
+	}
+	rel, err := NewRelation(src.Name, src.Attrs, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	enc := rel.Encode()
+	wantEnc := &relation.Encoded{
+		NumRows:     enc.NumRows,
+		Columns:     make([][]int, len(enc.Columns)),
+		Cardinality: append([]int(nil), enc.Cardinality...),
+		HasNull:     append([]bool(nil), enc.HasNull...),
+	}
+	for c, codes := range enc.Columns {
+		wantEnc.Columns[c] = append([]int(nil), codes...)
+	}
+	wantRows := make([][]string, rel.NumRows())
+	for i, row := range rel.Rows() {
+		wantRows[i] = append([]string(nil), row...)
+	}
+
+	var spills atomic.Int64
+	spilling := FuncObserver{OnCounter: func(_ Stage, name string, delta int64) {
+		if name == CounterPLISpillEvents || name == CounterPLIRecomputes {
+			spills.Add(delta)
+		}
+	}}
+	for _, run := range []struct {
+		name string
+		opts Options
+	}{
+		{"workers-1", Options{MaxLhs: 3, Workers: 1}},
+		{"workers-2", Options{MaxLhs: 3, Workers: 2}},
+		{"spilling", Options{MaxLhs: 3, Workers: 1, Budget: Budget{MaxMemoryBytes: 5 << 20}, Observer: spilling}},
+	} {
+		res, err := NormalizeContext(context.Background(), rel, run.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if len(res.Tables) < 2 {
+			t.Fatalf("%s: %d tables, want a decomposition", run.name, len(res.Tables))
+		}
+		if !reflect.DeepEqual(rel.Encode(), wantEnc) {
+			t.Fatalf("%s: the run changed its input's encoding", run.name)
+		}
+		if !reflect.DeepEqual(rel.Rows(), wantRows) {
+			t.Fatalf("%s: the run changed its input's rows", run.name)
+		}
+	}
+	if spills.Load() == 0 {
+		t.Fatal("the ceiling never made the PLI store spill or recompute: the spilling run no longer exercises the store")
 	}
 }

@@ -3,13 +3,13 @@ package normalize_test
 // The worker-matrix differential suite pins the PR's determinism
 // contract end to end: every worker count must produce byte-identical
 // results — the same FD covers out of discovery, the same DDL out of
-// the full pipeline, the same substrate content keys over the
-// decomposed instances, and the same delta-append results — across
-// every discovery engine. The hyfd engine exercises the work-stealing
-// validation pool and the sharded parallel encode directly; tane and
-// dfd ride the DiscoverContext seam, so the worker count only varies
-// the rest of the pipeline (closure computation, worklist analysis),
-// which must be just as invariant. Run under -race in CI on a
+// the full pipeline, the same rows in every decomposed instance, and
+// the same delta-append results — across every discovery engine. The
+// hyfd engine exercises the work-stealing validation pool and the
+// sharded parallel encode directly; tane and dfd ride the
+// DiscoverContext seam, so the worker count only varies the rest of
+// the pipeline (closure computation, worklist analysis), which must be
+// just as invariant. Run under -race in CI on a
 // multi-core host, the suite doubles as a scheduler race hunt.
 
 import (
@@ -25,7 +25,6 @@ import (
 	"normalize/internal/discovery/hyfd"
 	"normalize/internal/discovery/tane"
 	"normalize/internal/fd"
-	"normalize/internal/plicache"
 	"normalize/internal/relation"
 )
 
@@ -54,14 +53,13 @@ var matrixEngines = []struct {
 }
 
 // matrixSignature renders everything the determinism contract covers:
-// the DDL plus one content key per decomposed table (instance bytes,
-// not just schema shape).
+// the DDL plus every decomposed table's rows, in order (instance
+// content, not just schema shape).
 func matrixSignature(res *normalize.Result) string {
 	var b strings.Builder
 	b.WriteString(normalize.DDL(res.Tables))
 	for _, t := range res.Tables {
-		key := plicache.ContentKey(t.Data)
-		fmt.Fprintf(&b, "content %s %x\n", t.Name, key)
+		fmt.Fprintf(&b, "rows %s %q\n", t.Name, t.Data.Rows())
 	}
 	return b.String()
 }
@@ -82,17 +80,6 @@ func matrixInputs(r *rand.Rand) []*relation.Relation {
 		inputs = append(inputs, randomNullableRelation(r, 3+r.Intn(5), 20+r.Intn(60), 2+r.Intn(3), 10))
 	}
 	return inputs
-}
-
-// freshCopy deep-copies a relation: the pipeline dedups rows in place,
-// so repeated runs must not share backing arrays.
-func freshCopy(rel *relation.Relation) *relation.Relation {
-	rows := rel.Rows()
-	out := make([][]string, len(rows))
-	for i, row := range rows {
-		out[i] = append([]string(nil), row...)
-	}
-	return relation.MustNew(rel.Name, rel.Attrs, out)
 }
 
 // TestWorkersMatrixDiscovery checks the discovery layer alone: the
@@ -123,7 +110,7 @@ func TestWorkersMatrixDiscovery(t *testing.T) {
 }
 
 // TestWorkersMatrixNormalize runs the full pipeline for every engine ×
-// worker-count cell and compares DDL plus per-table content keys
+// worker-count cell and compares DDL plus per-table rows
 // byte-for-byte against the engine's workers=1 baseline.
 func TestWorkersMatrixNormalize(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
@@ -134,7 +121,7 @@ func TestWorkersMatrixNormalize(t *testing.T) {
 			var base string
 			for _, w := range matrixWorkerCounts {
 				opts := eng.factory(w)
-				res, err := normalize.Normalize(freshCopy(rel), opts)
+				res, err := normalize.Normalize(rel, opts)
 				if err != nil {
 					t.Fatalf("%s input %d workers=%d: %v", eng.name, i, w, err)
 				}
@@ -167,7 +154,7 @@ func matrixEngineBaseline(t *testing.T, inputs []*relation.Relation) string {
 	}
 	var b strings.Builder
 	for i, rel := range inputs {
-		res, err := normalize.Normalize(freshCopy(rel), normalize.Options{Workers: 1})
+		res, err := normalize.Normalize(rel, normalize.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("baseline input %d: %v", i, err)
 		}
@@ -180,7 +167,7 @@ func matrixEngineBaseline(t *testing.T, inputs []*relation.Relation) string {
 // TestWorkersMatrixDelta appends a suffix of each input's rows through
 // NormalizeDelta at every worker count (the delta plane rejects custom
 // discovery, so this leg is hyfd-only) and pins the appended result —
-// DDL and content keys — to the workers=1 delta run.
+// DDL and rows — to the workers=1 delta run.
 func TestWorkersMatrixDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(92))
 	for i, rel := range matrixInputs(r) {
