@@ -35,13 +35,14 @@ bench-baseline:
 # the UCC search behind primary-key selection (inline and on a pool,
 # with plis_intersected/op), the end-to-end pipeline (unconstrained and
 # under a -max-memory ceiling), the compressed PLI store
-# (compress/decode/spill-reload), and the incremental delta append
-# (full re-run vs delta revalidation, with candidates/op counters) —
-# into a machine-readable baseline. The worker-count series only
+# (compress/decode/spill-reload), the incremental delta append (full
+# re-run vs delta revalidation, with candidates_checked/op counters)
+# and the decode of its saved parent result — into a machine-readable
+# baseline. The worker-count series only
 # spreads on multi-core hosts; the substrate and allocation wins show
 # everywhere.
 bench-pipeline:
-	$(GO) test -run '^$$' -bench 'Ingest|HyFDWorkers|HyFDSubstrate|UCC|NormalizeWorkers|Figure3TPCH|DeltaAppend|PLIStore' \
+	$(GO) test -run '^$$' -bench 'Ingest|HyFDWorkers|HyFDSubstrate|UCC|NormalizeWorkers|Figure3TPCH|DeltaAppend|DecodeResult|PLIStore' \
 		-benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		. ./internal/plistore/ | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_pipeline.json
 	@echo "wrote BENCH_pipeline.json"

@@ -605,22 +605,29 @@ func (c *counterObserver) Counter(_ observe.Stage, name string, delta int64) {
 	}
 }
 
-// BenchmarkDeltaAppend pits the incremental delta path against a full
-// re-run for a 1% append to the TPC-H universal relation — the delta
-// plane's headline scenario. Both series report their candidate
-// validations per op (candidates/op), so the JSON baseline records the
-// wall-time ratio AND the work ratio the counters prove.
-func BenchmarkDeltaAppend(b *testing.B) {
-	full := mustDS(b)(datagen.TPCH(0.001, 1)).Denormalized
+// deltaAppendInput is the delta plane's headline scenario: the TPC-H
+// universal relation at scale 0.001 with its last 1% of rows held back
+// as the delta, and the parent run over the rest.
+func deltaAppendInput(b *testing.B) (full, base *relation.Relation, delta [][]string, opts core.Options, parent *core.Result) {
+	full = mustDS(b)(datagen.TPCH(0.001, 1)).Denormalized
 	rows := full.Rows()
-	cut := len(rows) - len(rows)/100 // last 1% of rows are the delta
-	base := relation.MustNew(full.Name, full.Attrs, rows[:cut])
-	opts := core.Options{MaxLhs: 3, Workers: 1}
-
+	cut := len(rows) - len(rows)/100
+	base = relation.MustNew(full.Name, full.Attrs, rows[:cut])
+	opts = core.Options{MaxLhs: 3, Workers: 1}
 	parent, err := core.NormalizeRelation(base, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return full, base, rows[cut:], opts, parent
+}
+
+// BenchmarkDeltaAppend pits the incremental delta path against a full
+// re-run for a 1% append to the TPC-H universal relation. Both series
+// report their candidate validations per op (candidates_checked/op),
+// so the JSON baseline records the wall-time ratio AND the work ratio
+// the counters prove.
+func BenchmarkDeltaAppend(b *testing.B) {
+	full, base, rows, opts, parent := deltaAppendInput(b)
 
 	b.Run("full", func(b *testing.B) {
 		obs := &counterObserver{name: observe.CounterCandidatesChecked}
@@ -631,7 +638,7 @@ func BenchmarkDeltaAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(obs.total)/float64(b.N), "candidates/op")
+		b.ReportMetric(float64(obs.total)/float64(b.N), "candidates_checked/op")
 	})
 	b.Run("delta", func(b *testing.B) {
 		obs := &counterObserver{name: observe.CounterDeltaFDsChecked}
@@ -639,10 +646,29 @@ func BenchmarkDeltaAppend(b *testing.B) {
 		o.Observer = obs
 		cfg := delta.Config{Options: o}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := delta.Normalize(context.Background(), base, rows[cut:], parent, cfg); err != nil {
+			if _, _, err := delta.Normalize(context.Background(), base, rows, parent, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(obs.total)/float64(b.N), "candidates/op")
+		b.ReportMetric(float64(obs.total)/float64(b.N), "candidates_checked/op")
 	})
+}
+
+// BenchmarkDecodeResult decodes the saved parent of the delta-append
+// scenario, the first step of every append that starts from a saved
+// result (normalize -append-to, a server restored from its job store).
+func BenchmarkDecodeResult(b *testing.B) {
+	_, _, _, _, parent := deltaAppendInput(b)
+	data, err := core.EncodeResult(parent)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DecodeResult(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data)), "payload_bytes")
 }

@@ -34,9 +34,9 @@ type benchmark struct {
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
-	// Metrics holds custom b.ReportMetric units (e.g. "candidates/op")
-	// keyed by unit name, so counters benchmarks publish survive into
-	// the baseline.
+	// Metrics holds custom b.ReportMetric units (e.g.
+	// "candidates_checked/op") keyed by unit name, so counters
+	// benchmarks publish survive into the baseline.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

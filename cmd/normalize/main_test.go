@@ -115,3 +115,60 @@ func TestExitCodeFatal(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendToSavedResult drives the offline append workflow: save day
+// 0 with -save-result, then -append-to it with a delta CSV. The DDL
+// must be the from-scratch run's on the concatenated CSV, both for a
+// file this binary saved and for a version-1 file an earlier release
+// saved (testdata/tpch.v1.json, from `-maxlhs 2 -save-result` on
+// testdata/tpch.csv).
+func TestAppendToSavedResult(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	base := filepath.Join(testdata, "tpch.csv")
+	delta := filepath.Join(testdata, "tpch-delta.csv")
+	dir := t.TempDir()
+	normalizeTo := func(out string, args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args = append([]string{"-maxlhs", "2", "-out", filepath.Join(dir, out)}, args...)
+		if code := run(context.Background(), args, &stdout, &stderr); code != exitOK {
+			t.Fatalf("normalize %v: exit %d; stderr: %s", args, code, stderr.String())
+		}
+		ddl, err := os.ReadFile(filepath.Join(dir, out, "schema.sql"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(ddl)
+	}
+
+	// From scratch on base + delta, under the base's file name: table
+	// names derive from it.
+	baseCSV, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaCSV, err := os.ReadFile(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, deltaRows, _ := bytes.Cut(deltaCSV, []byte("\n"))
+	concat := filepath.Join(dir, "concat", "tpch.csv")
+	if err := os.MkdirAll(filepath.Dir(concat), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(concat, append(baseCSV, deltaRows...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := normalizeTo("scratch", concat)
+
+	saved := filepath.Join(dir, "day0.bin")
+	normalizeTo("day0", "-save-result", saved, base)
+	for name, parent := range map[string]string{
+		"saved by this binary": saved,
+		"saved as version 1":   filepath.Join(testdata, "tpch.v1.json"),
+	} {
+		if got := normalizeTo("append", "-append-to", parent, base, delta); got != want {
+			t.Errorf("%s: append DDL\n%s\nwant from scratch\n%s", name, got, want)
+		}
+	}
+}

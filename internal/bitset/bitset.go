@@ -52,6 +52,11 @@ func FromWords(n int, words []uint64) *Set {
 	return s
 }
 
+// Words returns the set's words in the layout FromWords reads, one
+// per 64 elements of the universe. The slice is the set's own; callers
+// must not modify it.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Full returns the set containing every element of [0, n).
 func Full(n int) *Set {
 	s := New(n)

@@ -265,7 +265,7 @@ func TestQuickElementsRoundTrip(t *testing.T) {
 
 func TestFromWords(t *testing.T) {
 	s := Of(70, 0, 3, 63, 64, 69)
-	got := FromWords(70, s.words)
+	got := FromWords(70, s.Words())
 	if !got.Equal(s) || got.Key() != s.Key() {
 		t.Fatalf("FromWords(words of %v) = %v", s, got)
 	}

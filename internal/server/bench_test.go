@@ -91,7 +91,7 @@ func BenchmarkResultCacheGet(b *testing.B) {
 	for i := range keys {
 		spec := &jobSpec{gen: "tpch", scale: float64(i), seed: int64(i)}
 		keys[i] = cacheKey(spec)
-		c.put(keys[i], &normalize.Result{})
+		c.put(keys[i], &normalize.Result{}, 0)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

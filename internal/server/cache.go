@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"normalize"
-	"normalize/internal/core"
 )
 
 // cacheKey derives the content-hash cache key of a job: the SHA-256 of
@@ -96,17 +95,6 @@ func newResultCache(max int, maxBytes int64) *resultCache {
 	}
 }
 
-// encodedSize charges a result by its serialized footprint — the same
-// bytes the job store persists, so the in-memory budget tracks what a
-// rehydration would load.
-func encodedSize(res *normalize.Result) int64 {
-	data, err := core.EncodeResult(res)
-	if err != nil {
-		return 0
-	}
-	return int64(len(data))
-}
-
 // get returns the cached result for key, refreshing its recency.
 func (c *resultCache) get(key string) (*normalize.Result, bool) {
 	if c.max <= 0 {
@@ -122,16 +110,17 @@ func (c *resultCache) get(key string) (*normalize.Result, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
-// put stores a completed result, evicting least recently used entries
-// while the count or byte budget is exceeded. An entry larger than the
-// whole byte budget is still admitted alone — rejecting it would make
-// the biggest results, exactly the ones worth caching, uncacheable —
-// and evicts everything else.
-func (c *resultCache) put(key string, res *normalize.Result) {
+// put stores a completed result charged at size, the length of its
+// encoding — the bytes the job store persists, so the in-memory budget
+// tracks what a rehydration would load. It evicts least recently used
+// entries while the count or byte budget is exceeded. An entry larger
+// than the whole byte budget is still admitted alone — rejecting it
+// would make the biggest results, exactly the ones worth caching,
+// uncacheable — and evicts everything else.
+func (c *resultCache) put(key string, res *normalize.Result, size int64) {
 	if c.max <= 0 || res == nil {
 		return
 	}
-	size := encodedSize(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -9,11 +9,14 @@ package server
 // and lineage that survives a restart.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -160,22 +163,23 @@ func TestDeltaSubmitRejectsBadParents(t *testing.T) {
 // are full results charged like any other, so long append chains can't
 // hide an unbounded memory footprint behind a small entry count.
 func TestCacheByteBudget(t *testing.T) {
-	unit := encodedSize(&normalize.Result{})
-	if unit <= 0 {
-		t.Fatalf("encodedSize of an empty result = %d", unit)
+	data, err := normalize.EncodeResult(&normalize.Result{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	unit := int64(len(data))
 	// Budget fits two entries but not three; the count bound never
 	// binds, so eviction here is purely byte-driven.
 	c := newResultCache(100, 2*unit)
-	c.put("a", &normalize.Result{})
-	c.put("b", &normalize.Result{})
+	c.put("a", &normalize.Result{}, unit)
+	c.put("b", &normalize.Result{}, unit)
 	if c.Bytes() != 2*unit || c.Len() != 2 {
 		t.Fatalf("bytes=%d len=%d, want %d/2", c.Bytes(), c.Len(), 2*unit)
 	}
 	if _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", &normalize.Result{})
+	c.put("c", &normalize.Result{}, unit)
 	if _, ok := c.get("b"); ok {
 		t.Error("byte budget exceeded but LRU entry not evicted")
 	}
@@ -188,11 +192,11 @@ func TestCacheByteBudget(t *testing.T) {
 
 	// An entry larger than the whole budget is still admitted — alone.
 	tight := newResultCache(100, unit/2)
-	tight.put("big", &normalize.Result{})
+	tight.put("big", &normalize.Result{}, unit)
 	if tight.Len() != 1 {
 		t.Fatal("oversized entry rejected outright")
 	}
-	tight.put("big2", &normalize.Result{})
+	tight.put("big2", &normalize.Result{}, unit)
 	if _, ok := tight.get("big"); ok || tight.Len() != 1 {
 		t.Error("oversized entries accumulated past the budget")
 	}
@@ -263,5 +267,92 @@ func TestDeltaLineagePersistsAndRestores(t *testing.T) {
 	restored := getStatus(t, h2, d1.ID)
 	if restored.Key != d1.Key || restored.Parent != parent.Key {
 		t.Errorf("restored delta job: key=%q parent=%q", restored.Key, restored.Parent)
+	}
+}
+
+// TestRestoredV1ResultIsDeltaParent: a job store written before results
+// were encoded as version 2 holds version-1 payloads. A server started
+// on it serves such a result as it was saved, and an append to it runs
+// incrementally to the from-scratch DDL.
+func TestRestoredV1ResultIsDeltaParent(t *testing.T) {
+	testdata := filepath.Join("..", "core", "testdata")
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join(testdata, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	v1, baseCSV, deltaCSV := read("tpch.v1.json"), read("tpch.csv"), read("tpch-delta.csv")
+	const options = `{"max_lhs":2}`
+	body := func(csv []byte, parent string) string {
+		raw, _ := json.Marshal(string(csv))
+		ref, _ := json.Marshal(parent)
+		return `{"name":"tpch","csv":` + string(raw) + `,"parent":` + string(ref) + `,"options":` + options + `}`
+	}
+
+	// The job the fixture's run was: tpch.csv normalized with max-LHS 2.
+	dir := t.TempDir()
+	store, _, err := jobstore.Open(dir, jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := buildSpec(&jobRequest{Name: "tpch", CSV: string(baseCSV), Options: optionsSpec{MaxLhs: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := encodeSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, now := newJobID(), time.Now()
+	for _, err := range []error{
+		store.AppendSubmit(jobstore.JobRecord{ID: id, Created: now, Key: spec.key, Spec: raw, State: string(StateQueued)}),
+		store.AppendResult(id, spec.key, v1),
+		store.AppendState(jobstore.StateUpdate{ID: id, State: string(StateDone), At: now}),
+		store.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := testServer(t, Config{Workers: 1, DataDir: dir})
+	h := s.Handler()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/jobs/"+id+"/result", nil))
+	var served resultPayload
+	if err := json.Unmarshal(rr.Body.Bytes(), &served); err != nil {
+		t.Fatalf("result: %v: %s", err, rr.Body.String())
+	}
+	saved, err := normalize.DecodeResult(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := normalize.SchemaJSON(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, wantBuf bytes.Buffer
+	if err := json.Compact(&got, served.Schema); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&wantBuf, want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != wantBuf.String() {
+		t.Errorf("restored job serves schema\n%s\nwant the saved\n%s", got.String(), wantBuf.String())
+	}
+
+	d := waitTerminal(t, h, submit(t, h, body(deltaCSV, id)).ID)
+	if d.State != StateDone || d.Parent != spec.key {
+		t.Fatalf("delta job: state=%s parent=%q err=%q", d.State, d.Parent, d.Error)
+	}
+	scratch := waitTerminal(t, h, submit(t, h, body([]byte(concatRows(string(baseCSV), string(deltaCSV))), "")).ID)
+	if scratch.State != StateDone {
+		t.Fatalf("from-scratch job: %s (%s)", scratch.State, scratch.Error)
+	}
+	if got, want := fetchDDL(t, h, d.ID), fetchDDL(t, h, scratch.ID); got != want {
+		t.Errorf("append to the version-1 parent:\n%s\nwant from scratch:\n%s", got, want)
 	}
 }

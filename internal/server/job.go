@@ -568,10 +568,12 @@ func (m *manager) complete(job *Job, res *normalize.Result, err error) State {
 		// rehydrated cache serves the same schema JSON as this process.
 		// Per-stage timings stay in the job's telemetry.
 		res.Stats.Discovery, res.Stats.Closure, res.Stats.KeyDerivation, res.Stats.Violation = 0, 0, 0, 0
-		m.p.result(job.ID, job.spec.key, res)
-	}
-	if state == StateDone {
-		m.cache.put(job.spec.key, res)
+		// One encoding serves the job store and the cache's charge.
+		data, encErr := normalize.EncodeResult(res)
+		m.p.result(job.ID, job.spec.key, data, encErr)
+		if state == StateDone {
+			m.cache.put(job.spec.key, res, int64(len(data)))
+		}
 	}
 	job.finish(state, res, err)
 	return state

@@ -158,17 +158,16 @@ func (p *persister) state(id string, st State, at time.Time, errMsg string, skip
 	}))
 }
 
-// result records a terminal result payload. It must be called BEFORE
-// the terminal state record: a crash between the two leaves an orphan
-// result (overwritten on the re-run), never a terminal job whose result
-// is gone.
-func (p *persister) result(id, key string, res *normalize.Result) {
-	if !p.enabled() || res == nil {
+// result records a terminal result payload, EncodeResult's data or
+// its error. It must be called BEFORE the terminal state record: a
+// crash between the two leaves an orphan result (overwritten on the
+// re-run), never a terminal job whose result is gone.
+func (p *persister) result(id, key string, data []byte, encErr error) {
+	if !p.enabled() {
 		return
 	}
-	data, err := core.EncodeResult(res)
-	if err != nil {
-		p.fail("encode result", err)
+	if encErr != nil {
+		p.fail("encode result", encErr)
 		return
 	}
 	p.fail("result", p.store.AppendResult(id, key, data))
@@ -279,7 +278,7 @@ func (m *manager) restore() []*Job {
 			m.p.fail("decode cache entry", err)
 			continue
 		}
-		m.cache.put(e.Key, res)
+		m.cache.put(e.Key, res, int64(len(e.Data)))
 	}
 	return requeue
 }

@@ -584,12 +584,12 @@ func TestBusSlowSubscriberStillSeesTerminalEvent(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2, 0)
 	r1, r2, r3 := &normalize.Result{}, &normalize.Result{}, &normalize.Result{}
-	c.put("a", r1)
-	c.put("b", r2)
+	c.put("a", r1, 0)
+	c.put("b", r2, 0)
 	if _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", r3)
+	c.put("c", r3, 0)
 	if _, ok := c.get("b"); ok {
 		t.Error("b not evicted")
 	}
@@ -604,7 +604,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// Disabled cache accepts and returns nothing.
 	off := newResultCache(-1, 0)
-	off.put("a", r1)
+	off.put("a", r1, 0)
 	if _, ok := off.get("a"); ok {
 		t.Error("disabled cache returned a hit")
 	}

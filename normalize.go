@@ -297,15 +297,19 @@ func NormalizeDelta(ctx context.Context, base *Relation, rows [][]string, parent
 }
 
 // EncodeResult serializes a Result — including the FD cover and exact
-// scoring facts NormalizeDelta needs — into a self-contained payload
-// that DecodeResult restores in another process. The payload leaves
-// out Stats' wall-clock durations, so it is the same bytes for every
-// run of one input; a decoded Result reports them as zero.
+// scoring facts NormalizeDelta needs — into a self-contained, versioned
+// binary payload that DecodeResult restores in another process. The
+// payload leaves out Stats' wall-clock durations, so it is the same
+// bytes for every run of one input; a decoded Result reports them as
+// zero.
 func EncodeResult(res *Result) ([]byte, error) {
 	return core.EncodeResult(res)
 }
 
-// DecodeResult rebuilds a Result from EncodeResult's output.
+// DecodeResult rebuilds a Result from EncodeResult's output, or from
+// the JSON payload earlier releases wrote. It rejects a payload whose
+// attribute indices or table instances are inconsistent instead of
+// returning a Result that fails when rendered.
 func DecodeResult(data []byte) (*Result, error) {
 	return core.DecodeResult(data)
 }
