@@ -69,6 +69,20 @@ func tpchResult(t *testing.T) *Result {
 	return res
 }
 
+// tpchSingleResult is tpchResult's run through NormalizeRelationContext.
+func tpchSingleResult(t *testing.T) *Result {
+	t.Helper()
+	rel, err := relation.ReadCSVFile(filepath.Join("testdata", "tpch.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NormalizeRelationContext(context.Background(), rel, Options{MaxLhs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func readFixture(t *testing.T, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -278,6 +292,20 @@ func TestDecodeResultV1MatchesV2(t *testing.T) {
 			v2, err := DecodeResult(data)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.fixture == "tpch.v1.json" {
+				// The CLI that wrote this fixture reported no RHS averages
+				// for its one input; the fresh result carries the
+				// single-relation path's.
+				if v1.Stats.AvgRhsBefore != 0 || v1.Stats.AvgRhsAfter != 0 {
+					t.Errorf("fixture averages %v/%v, want 0/0", v1.Stats.AvgRhsBefore, v1.Stats.AvgRhsAfter)
+				}
+				one := tpchSingleResult(t)
+				if v2.Stats.AvgRhsBefore != one.Stats.AvgRhsBefore || v2.Stats.AvgRhsAfter != one.Stats.AvgRhsAfter {
+					t.Errorf("averages %v/%v, want %v/%v", v2.Stats.AvgRhsBefore, v2.Stats.AvgRhsAfter,
+						one.Stats.AvgRhsBefore, one.Stats.AvgRhsAfter)
+				}
+				v2.Stats.AvgRhsBefore, v2.Stats.AvgRhsAfter = 0, 0
 			}
 			if err := sameResult(v1, v2); err != nil {
 				t.Error(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -801,6 +802,10 @@ func NormalizeRelations(rels []*relation.Relation, opts Options) (*Result, error
 // and the *PartialError is returned with the accumulated result.
 func NormalizeRelationsContext(ctx context.Context, rels []*relation.Relation, opts Options) (*Result, error) {
 	total := &Result{}
+	// The RHS averages are means over every relation's aggregated FDs:
+	// each relation weighs in with its aggregated-FD count,
+	// NumFDs/AvgRhsBefore, recovered as the integer it is.
+	var aggregated, rhsAfter int64
 	for _, rel := range rels {
 		r, err := NormalizeRelationContext(ctx, rel, opts)
 		if r != nil {
@@ -822,6 +827,13 @@ func NormalizeRelationsContext(ctx context.Context, rels []*relation.Relation, o
 			total.Stats.KeyDerivation += r.Stats.KeyDerivation
 			total.Stats.Violation += r.Stats.Violation
 			total.Stats.Decompositions += r.Stats.Decompositions
+			if r.Stats.AvgRhsBefore > 0 {
+				k := math.Round(float64(r.Stats.NumFDs) / r.Stats.AvgRhsBefore)
+				aggregated += int64(k)
+				rhsAfter += int64(math.Round(r.Stats.AvgRhsAfter * k))
+				total.Stats.AvgRhsBefore = float64(total.Stats.NumFDs) / float64(aggregated)
+				total.Stats.AvgRhsAfter = float64(rhsAfter) / float64(aggregated)
+			}
 		}
 		if err != nil {
 			if r != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -411,6 +412,55 @@ func TestNormalizeRelationsMultipleInputs(t *testing.T) {
 	}
 	if res.Stats.Records != 30+6 {
 		t.Errorf("records = %d", res.Stats.Records)
+	}
+}
+
+// TestNormalizeRelationsRhsAveragesOneInput: for one input the
+// multi-relation path reports the single-relation path's RHS averages.
+func TestNormalizeRelationsRhsAveragesOneInput(t *testing.T) {
+	rel := correlated(rand.New(rand.NewSource(23)), 30)
+	one, err := NormalizeRelation(rel, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Stats.AvgRhsBefore == 0 || one.Stats.AvgRhsAfter == 0 {
+		t.Fatalf("test setup: averages %v/%v", one.Stats.AvgRhsBefore, one.Stats.AvgRhsAfter)
+	}
+	all, err := NormalizeRelations([]*relation.Relation{rel}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.Stats.AvgRhsBefore != one.Stats.AvgRhsBefore || all.Stats.AvgRhsAfter != one.Stats.AvgRhsAfter {
+		t.Errorf("averages %v/%v, want %v/%v", all.Stats.AvgRhsBefore, all.Stats.AvgRhsAfter,
+			one.Stats.AvgRhsBefore, one.Stats.AvgRhsAfter)
+	}
+}
+
+// TestNormalizeRelationsRhsAveragesTwoInputs: over several inputs the
+// RHS averages are means over all relations' aggregated FDs, so each
+// relation weighs in with the size of its cover.
+func TestNormalizeRelationsRhsAveragesTwoInputs(t *testing.T) {
+	rels := []*relation.Relation{correlated(rand.New(rand.NewSource(23)), 30), address()}
+	var single, aggregated, rhsAfter float64
+	for _, rel := range rels {
+		res, err := NormalizeRelation(rel, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := float64(res.Cover.Len())
+		single += float64(res.Cover.CountSingle())
+		aggregated += k
+		rhsAfter += res.Stats.AvgRhsAfter * k
+	}
+	all, err := NormalizeRelations(rels, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := single / aggregated; math.Abs(all.Stats.AvgRhsBefore-want) > 1e-9 {
+		t.Errorf("AvgRhsBefore = %v, want %v", all.Stats.AvgRhsBefore, want)
+	}
+	if want := rhsAfter / aggregated; math.Abs(all.Stats.AvgRhsAfter-want) > 1e-9 {
+		t.Errorf("AvgRhsAfter = %v, want %v", all.Stats.AvgRhsAfter, want)
 	}
 }
 

@@ -97,11 +97,14 @@ func TestSamplerCancelPolledPerCluster(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		var got []string
-		err = s.run(ctx, 5, pool, func(a *bitset.Set) error {
+		emit := func(a *bitset.Set) error {
 			cancel()
 			got = append(got, a.String())
 			return nil
-		})
+		}
+		for r := 0; r < 5 && err == nil && s.hasMore(); r++ {
+			err = s.run(ctx, pool, emit)
+		}
 		if pool != nil {
 			pool.Close()
 		}

@@ -11,6 +11,8 @@
 //   - Induction: maintain a prefix-tree cover (fd.Tree) of FD candidates
 //     that is consistent with all observed non-FDs: a violated candidate
 //     is removed and specialized by one attribute outside the agree set.
+//     Each sampling round's new agree sets are inducted largest first,
+//     as in HyFD: the most specific evidence prunes the tree first.
 //   - Validation: check the remaining candidates level-wise against the
 //     full data using position list indices; violations feed back into
 //     the inductor as new agree sets.
@@ -18,7 +20,8 @@
 // The validator is authoritative, so the result is exactly the complete
 // set of minimal, non-trivial FDs (optionally bounded by MaxLhs), which
 // the optimized closure algorithm of the normalization pipeline relies
-// on.
+// on. It is read off the validated tree: X → A is kept when no proper
+// subset of X carries A.
 //
 // Revalidate is the same validate/induct loop run incrementally, for a
 // relation that grew by appended rows: the candidate tree starts from
@@ -51,7 +54,6 @@ import (
 	"normalize/internal/plicache"
 	"normalize/internal/plistore"
 	"normalize/internal/relation"
-	"normalize/internal/settrie"
 	"normalize/internal/wsteal"
 )
 
@@ -226,6 +228,9 @@ func newDiscoverer(ctx context.Context, rel *relation.Relation, opts Options) (*
 		serial:  new(scratch),
 		full:    bitset.Full(n),
 		outside: bitset.New(n),
+		ext:     bitset.New(n),
+		gen:     bitset.New(n),
+		add:     bitset.New(n),
 	}
 	// One persistent work-stealing pool serves the whole run: PLI
 	// prewarm, pair sampling, and every validation level. Workers park
@@ -254,37 +259,16 @@ func (d *discoverer) close() {
 }
 
 // finish validates the seeded tree and returns its minimal cover,
-// aggregated by left-hand side and deterministically sorted.
+// aggregated by left-hand side and deterministically sorted. Induction
+// inserts after a generalization check only (no specialization
+// eviction, matching HyFD), so a valid specialization can survive next
+// to its later-inserted valid generalization; the tree's minimal cover
+// drops it.
 func (d *discoverer) finish() (*fd.Set, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	return minimize(d.tree.ToSet()).Aggregate().Sort(), nil
-}
-
-// minimize drops FDs that have a generalization in the same set. The
-// induction phase inserts candidates after a generalization check only
-// (no specialization eviction, matching HyFD), so a valid specialization
-// can survive next to its later-inserted valid generalization; this
-// final linear pass restores exact minimality.
-func minimize(s *fd.Set) *fd.Set {
-	s.Sort() // ascending LHS size: generalizations come first
-	tries := make([]settrie.Trie, s.NumAttrs)
-	out := fd.NewSet(s.NumAttrs)
-	for _, f := range s.FDs {
-		rhs := bitset.New(s.NumAttrs)
-		f.Rhs.ForEach(func(a int) bool {
-			if !tries[a].ContainsSubsetOf(f.Lhs) {
-				tries[a].Insert(f.Lhs)
-				rhs.Add(a)
-			}
-			return true
-		})
-		if !rhs.IsEmpty() {
-			out.FDs = append(out.FDs, &fd.FD{Lhs: f.Lhs, Rhs: rhs})
-		}
-	}
-	return out
+	return d.tree.MinimalCover().Aggregate().Sort(), nil
 }
 
 type discoverer struct {
@@ -303,6 +287,9 @@ type discoverer struct {
 	slots   []*scratch   // per-worker-slot intersection scratch
 	full    *bitset.Set  // constant {0..n-1}, source for outside
 	outside *bitset.Set  // induct's reusable ¬agree scratch
+	ext     *bitset.Set  // induct's specialization X ∪ {b}
+	gen     *bitset.Set  // RHS attributes ext already has a generalization for
+	add     *bitset.Set  // RHS attributes induct stores for ext
 
 	// Revalidation state (see Revalidate); seeds is nil when
 	// discovering from scratch. seeds holds each seed LHS's RHS
@@ -389,29 +376,48 @@ func (d *discoverer) buildPLIs(sub *plicache.Substrate) error {
 	return nil
 }
 
-// sampleAndInduct runs the sampler for the given number of window
-// rounds and folds every new agree set into the positive cover. With a
-// pool the per-cluster pair comparisons run on the workers while the
-// coordinator inducts earlier clusters' agree sets — the sets arrive
-// in cluster order either way, so the cover evolves identically.
+// sampleAndInduct runs the sampler for up to the given number of
+// window rounds and folds every new agree set into the positive cover.
+// Each round's new sets are collected in the sampler's order — the same
+// at every worker count — and inducted largest first, stable on ties:
+// a larger agree set refutes the more specific candidates, and pruning
+// them first saves specializing them by smaller sets' evidence.
 func (d *discoverer) sampleAndInduct(rounds int) error {
-	i := 0
-	return d.sampler.run(d.ctx, rounds, d.pool, func(s *bitset.Set) error {
-		if i&63 == 0 && d.canceled() {
-			return d.ctx.Err()
+	bySize := make([][]*bitset.Set, d.n+1) // a round's new sets by cardinality
+	for r := 0; r < rounds && d.sampler.hasMore(); r++ {
+		for k := range bySize {
+			bySize[k] = bySize[k][:0]
 		}
-		i++
-		d.agreeSets++
-		return d.induct(s)
-	})
+		if err := d.sampler.run(d.ctx, d.pool, func(s *bitset.Set) error {
+			k := s.Cardinality()
+			bySize[k] = append(bySize[k], s)
+			return nil
+		}); err != nil {
+			return err
+		}
+		for k := d.n; k >= 0; k-- {
+			for _, s := range bySize[k] {
+				if d.agreeSets&63 == 0 && d.canceled() {
+					return d.ctx.Err()
+				}
+				d.agreeSets++
+				if err := d.induct(s); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // induct updates the candidate tree with the non-FD evidence of one
 // agree set S: every candidate X → A with X ⊆ S and A ∉ S is violated
 // by the witnessing record pair; it is removed and specialized by every
-// attribute outside S. Inserts check only for generalizations (like the
-// original HyFD), so the tree may temporarily hold specializations of
-// other candidates; Discover filters the final result for minimality.
+// attribute b outside S. One tree walk per specialization X ∪ {b} finds
+// the attributes it already has a generalization for; the others are
+// stored, in ascending order. Inserts check only for generalizations
+// (like the original HyFD), so the tree may temporarily hold
+// specializations of other candidates; finish keeps the minimal ones.
 //
 // Every insert is charged against the budget tracker — this is the loop
 // where the positive cover (and with it the memory footprint) explodes
@@ -423,7 +429,6 @@ func (d *discoverer) induct(agree *bitset.Set) error {
 	if len(violated) == 0 {
 		return nil
 	}
-	var tripped error
 	fdBytes := budget.FDBytes(d.n)
 	outside := d.outside.CopyFrom(d.full).DifferenceWith(agree)
 	for _, v := range violated {
@@ -439,33 +444,24 @@ func (d *discoverer) induct(agree *bitset.Set) error {
 		if v.Lhs.Cardinality() >= d.maxLhs {
 			continue
 		}
-		outside.ForEach(func(b int) bool {
-			if v.Lhs.Contains(b) {
-				return true
-			}
-			ext := v.Lhs.Clone().Add(b)
-			v.Rhs.ForEach(func(a int) bool {
-				if a == b {
-					return true
-				}
-				if !d.tree.ContainsGeneralization(ext, a) {
-					d.tree.Add(ext, a)
+		// v.Lhs ⊆ agree, so every b outside agree extends it.
+		ext := d.ext.CopyFrom(v.Lhs)
+		for b := outside.First(); b >= 0; b = outside.NextAfter(b) {
+			ext.Add(b)
+			add := d.add.CopyFrom(v.Rhs).DifferenceWith(d.tree.GeneralizedRhs(ext, d.gen)).Remove(b)
+			if !add.IsEmpty() {
+				d.tree.AddSet(ext, add)
+				for a := add.First(); a >= 0; a = add.NextAfter(a) {
 					d.fdsInduced++
 					if err := d.tr.AddFDs(1); err != nil {
-						tripped = err
-						return false
+						return err
 					}
 					if err := d.tr.Grow(fdBytes); err != nil {
-						tripped = err
-						return false
+						return err
 					}
 				}
-				return true
-			})
-			return tripped == nil
-		})
-		if tripped != nil {
-			return tripped
+			}
+			ext.Remove(b)
 		}
 	}
 	return nil

@@ -139,14 +139,14 @@ func (s *sampler) numClusters() int { return len(s.bounds) - 1 }
 
 func (s *sampler) cluster(c int) []int32 { return s.members[s.bounds[c]:s.bounds[c+1]] }
 
-// run executes up to rounds window-widening passes, calling emit for
-// every agree set not seen before. Each cluster is compared on one
-// slot and then committed, in cluster order; the commit polls ctx
-// first, so a cancellation stops the run at the end of the cluster
-// being emitted. With a pool the comparisons run on the workers, and
-// the pool's ordered commit emits while later clusters are compared;
+// run executes the next window-widening round, calling emit for every
+// agree set not seen before. Each cluster is compared on one slot and
+// then committed, in cluster order; the commit polls ctx first, so a
+// cancellation stops the round at the end of the cluster being
+// emitted. With a pool the comparisons run on the workers, and the
+// pool's ordered commit emits while later clusters are compared;
 // without one the same steps run inline on one slot.
-func (s *sampler) run(ctx context.Context, rounds int, pool *wsteal.Pool, emit func(*bitset.Set) error) error {
+func (s *sampler) run(ctx context.Context, pool *wsteal.Pool, emit func(*bitset.Set) error) error {
 	workers := 1
 	if pool != nil {
 		workers = pool.Workers()
@@ -162,31 +162,25 @@ func (s *sampler) run(ctx context.Context, rounds int, pool *wsteal.Pool, emit f
 		}
 		return s.emitNew(sets, emit)
 	}
-	for r := 0; r < rounds && s.hasMore(); r++ {
-		w := s.window
-		s.window++
-		if pool == nil || s.numClusters() < 2 {
-			for c := 0; c < s.numClusters(); c++ {
-				if err := commit(s.slots[0].compare(s, s.cluster(c), w)); err != nil {
-					return err
-				}
+	w := s.window
+	s.window++
+	if pool == nil || s.numClusters() < 2 {
+		for c := 0; c < s.numClusters(); c++ {
+			if err := commit(s.slots[0].compare(s, s.cluster(c), w)); err != nil {
+				return err
 			}
-			continue
 		}
-		perCluster := make([][]uint64, s.numClusters())
-		err := pool.Run(ctx, "hyfd sampling", s.numClusters(), func(c, slot int) error {
-			perCluster[c] = slices.Clone(s.slots[slot].compare(s, s.cluster(c), w))
-			return nil
-		}, func(c int) error {
-			sets := perCluster[c]
-			perCluster[c] = nil
-			return commit(sets)
-		})
-		if err != nil {
-			return err
-		}
+		return nil
 	}
-	return nil
+	perCluster := make([][]uint64, s.numClusters())
+	return pool.Run(ctx, "hyfd sampling", s.numClusters(), func(c, slot int) error {
+		perCluster[c] = slices.Clone(s.slots[slot].compare(s, s.cluster(c), w))
+		return nil
+	}, func(c int) error {
+		sets := perCluster[c]
+		perCluster[c] = nil
+		return commit(sets)
+	})
 }
 
 // emitNew emits, in order, the agree sets of one cluster's distinct

@@ -177,8 +177,8 @@ func TestSamplerMatchesPairwiseReference(t *testing.T) {
 				got = append(got, a.String())
 				return nil
 			}
-			for _, batch := range []int{2, 1, 3} {
-				if err := s.run(context.Background(), batch, pool, emit); err != nil {
+			for r := 0; r < rounds && s.hasMore(); r++ {
+				if err := s.run(context.Background(), pool, emit); err != nil {
 					t.Fatal(err)
 				}
 			}
