@@ -31,8 +31,8 @@ bench-baseline:
 	@echo "wrote BENCH_server.json"
 
 # bench-pipeline snapshots the discovery/normalization hot paths —
-# streaming ingest, HyFD worker counts (with fds_induced/op and
-# agree_sets_sampled/op), shared-substrate reuse,
+# streaming ingest, HyFD worker counts (with pairs_compared/op,
+# agree_sets_sampled/op and fds_induced/op), shared-substrate reuse,
 # the UCC search behind primary-key selection (inline and on a pool,
 # with plis_intersected/op), the end-to-end pipeline (unconstrained and
 # under a -max-memory ceiling), the compressed PLI store

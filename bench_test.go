@@ -416,7 +416,8 @@ func BenchmarkUCCWorkers(b *testing.B) {
 // relation (workers-N), and a long, thin, low-cardinality order-line
 // relation (orderlines/workers-N: 60 000 rows of redundantCSV) whose
 // large clusters make pair sampling the dominant phase. It reports the
-// induction's work per run: fds_induced/op and agree_sets_sampled/op.
+// sampling and induction work per run: pairs_compared/op,
+// agree_sets_sampled/op and fds_induced/op.
 func BenchmarkHyFDWorkers(b *testing.B) {
 	tpch := mustDS(b)(datagen.TPCH(0.0002, 1)).Denormalized
 	orderlines, err := relation.ReadCSV("orderlines", bytes.NewReader(redundantCSV(60000)))
@@ -431,12 +432,14 @@ func BenchmarkHyFDWorkers(b *testing.B) {
 			b.Run(in.prefix+"workers-"+itoa(workers), func(b *testing.B) {
 				induced := &counterObserver{name: observe.CounterFDsInduced}
 				sampled := &counterObserver{name: observe.CounterAgreeSets}
-				obs := observe.Multi{induced, sampled}
+				compared := &counterObserver{name: observe.CounterPairsCompared}
+				obs := observe.Multi{induced, sampled, compared}
 				for i := 0; i < b.N; i++ {
 					hyfd.Discover(in.rel, hyfd.Options{MaxLhs: 3, Workers: workers, Observer: obs})
 				}
 				b.ReportMetric(float64(induced.total)/float64(b.N), observe.CounterFDsInduced+"/op")
 				b.ReportMetric(float64(sampled.total)/float64(b.N), observe.CounterAgreeSets+"/op")
+				b.ReportMetric(float64(compared.total)/float64(b.N), observe.CounterPairsCompared+"/op")
 			})
 		}
 	}

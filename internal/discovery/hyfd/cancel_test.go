@@ -82,7 +82,7 @@ func TestDiscoverContextCancelSequential(t *testing.T) {
 // returns an error.
 func TestSamplerCancelPolledPerCluster(t *testing.T) {
 	rel := samplingRelation(rand.New(rand.NewSource(59)), 9, 400)
-	want := referenceSample(t, rel, 5)
+	want := referenceSample(t, rel, []int{5}).sets
 	if len(want) < 2 || want[0].cluster == want[len(want)-1].cluster {
 		t.Fatal("test setup: the reference sweep must span several clusters")
 	}

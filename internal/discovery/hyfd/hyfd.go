@@ -7,7 +7,9 @@
 //
 //   - Sampling: compare likely-similar record pairs; each pair yields an
 //     agree set (the attributes on which the two records agree), which
-//     is evidence of a non-FD and prunes many candidates at once.
+//     is evidence of a non-FD and prunes many candidates at once. Each
+//     attribute widens its own comparison window only while the last
+//     window still found new agree sets per compared pair, as in HyFD.
 //   - Induction: maintain a prefix-tree cover (fd.Tree) of FD candidates
 //     that is consistent with all observed non-FDs: a violated candidate
 //     is removed and specialized by one attribute outside the agree set.
@@ -33,10 +35,10 @@
 // induction, and validation loops poll the context (including the
 // parallel validation workers, which wind down without leaking
 // goroutines) and the call returns ctx.Err() promptly. Work counters —
-// agree sets sampled, FD candidates induced, PLIs intersected,
-// candidates checked, violations found — are reported to
-// Options.Observer under the fd-discovery stage when the run finishes
-// or is cancelled.
+// record pairs compared, agree sets sampled, FD candidates induced,
+// PLIs intersected, candidates checked, violations found — are
+// reported to Options.Observer under the fd-discovery stage when the
+// run finishes or is cancelled.
 package hyfd
 
 import (
@@ -111,26 +113,30 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 	}
 	defer d.close()
 
-	// Positive cover starts at the most general hypothesis: every
-	// attribute is constant (∅ → A for all A).
-	empty := bitset.New(d.n)
-	for a := 0; a < d.n; a++ {
-		d.tree.Add(empty, a)
-	}
-
-	smp, err := newSampler(d.enc, d.handles)
-	if err != nil {
-		return nil, err
-	}
-	d.sampler = smp
 	rounds := opts.sampleRounds
 	if rounds == 0 {
 		rounds = 3
 	}
-	if err := d.sampleAndInduct(rounds); err != nil {
+	if err := d.seedBySampling(rounds); err != nil {
 		return nil, err
 	}
 	return d.finish()
+}
+
+// seedBySampling starts the positive cover at the most general
+// hypothesis, every attribute constant (∅ → A for all A), and folds in
+// the evidence of up to the given number of initial sampling rounds.
+func (d *discoverer) seedBySampling(rounds int) error {
+	empty := bitset.New(d.n)
+	for a := 0; a < d.n; a++ {
+		d.tree.Add(empty, a)
+	}
+	smp, err := newSampler(d.enc, d.handles)
+	if err != nil {
+		return err
+	}
+	d.sampler = smp
+	return d.sampleAndInduct(rounds)
 }
 
 // ErrTooManyDemoted is Revalidate's answer when the appended rows
@@ -319,6 +325,9 @@ func (d *discoverer) flushCounters(obs observe.Observer) {
 			obs.Counter(observe.Discovery, name, v)
 		}
 	}
+	if d.sampler != nil {
+		flush(observe.CounterPairsCompared, d.sampler.pairs)
+	}
 	flush(observe.CounterAgreeSets, d.agreeSets)
 	flush(observe.CounterFDsInduced, d.fdsInduced)
 	flush(observe.CounterViolationsFound, d.violationsFound)
@@ -495,11 +504,12 @@ type verdict struct {
 // validate sweeps the candidate tree level by level. Candidates at or
 // below the validated level are final; violations specialize upward, so
 // the sweep terminates at maxLhs (or when the tree has no deeper
-// level). A level with a high violation ratio triggers another sampling
-// round first — the HyFD switching heuristic: sampling prunes many
-// candidates per comparison, validation proves the survivors. A
-// revalidation has no sampler; it stops with ErrTooManyDemoted once its
-// demotions pass the cap.
+// level). A level with a high violation ratio, below the last level to
+// validate, triggers up to two more sampling rounds at a halved
+// efficiency threshold first — the HyFD switching heuristic: sampling
+// prunes many candidates per comparison, validation proves the
+// survivors. A revalidation has no sampler; it stops with
+// ErrTooManyDemoted once its demotions pass the cap.
 func (d *discoverer) validate() error {
 	const switchRatio = 0.1
 	for level := 0; level <= d.tree.MaxLevel() && level <= d.maxLhs; level++ {
@@ -554,8 +564,12 @@ func (d *discoverer) validate() error {
 			continue
 		}
 		// Switching heuristic: if validation found mostly garbage,
-		// cheaper sampling likely prunes the next levels better.
-		if invalid > 0 && float64(invalid)/float64(total) > switchRatio && d.sampler.hasMore() {
+		// cheaper sampling likely prunes the next levels better. After
+		// the last level to validate every candidate left is final, so
+		// new evidence could change nothing.
+		if invalid > 0 && float64(invalid)/float64(total) > switchRatio &&
+			level < d.maxLhs && level < d.tree.MaxLevel() {
+			d.sampler.lowerThreshold()
 			if err := d.sampleAndInduct(2); err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package hyfd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"normalize/internal/discovery/bruteforce"
@@ -131,11 +132,16 @@ func TestCorrelatedAgainstTane(t *testing.T) {
 func TestWithNullsAgainstBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 15; trial++ {
-		rel := randomRelation(r, 4, 20, 3)
-		for _, row := range rel.Rows() {
+		base := randomRelation(r, 4, 20, 3)
+		rows := base.Rows()
+		for _, row := range rows {
 			if r.Intn(3) == 0 {
 				row[r.Intn(4)] = ""
 			}
+		}
+		rel := relation.MustNew(base.Name, base.Attrs, rows)
+		if !slices.Contains(rel.Encode().HasNull, true) {
+			t.Fatalf("trial %d: no null reached the encoding", trial)
 		}
 		got := Discover(rel, Options{})
 		want := bruteforce.DiscoverFDs(rel, 4)

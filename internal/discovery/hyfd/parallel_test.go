@@ -98,7 +98,7 @@ func TestInductionWorkersDeterministic(t *testing.T) {
 			return tane.Discover(rel, tane.Options{MaxLhs: maxLhs})
 		}})
 	}
-	counters := []string{observe.CounterAgreeSets, observe.CounterFDsInduced,
+	counters := []string{observe.CounterPairsCompared, observe.CounterAgreeSets, observe.CounterFDsInduced,
 		observe.CounterCandidatesChecked, observe.CounterViolationsFound, observe.CounterPLIsIntersected}
 	for _, in := range inputs {
 		for _, maxLhs := range in.maxLhss {

@@ -3,6 +3,7 @@ package tane
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"normalize/internal/bitset"
@@ -182,12 +183,17 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 func TestRandomWithNullsAgainstBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 15; trial++ {
-		rel := randomRelation(r, 4, 15, 3)
-		// Sprinkle nulls.
-		for _, row := range rel.Rows() {
+		base := randomRelation(r, 4, 15, 3)
+		// Sprinkle nulls into the rows the relation is built from.
+		rows := base.Rows()
+		for _, row := range rows {
 			if r.Intn(3) == 0 {
 				row[r.Intn(4)] = ""
 			}
+		}
+		rel := relation.MustNew(base.Name, base.Attrs, rows)
+		if !slices.Contains(rel.Encode().HasNull, true) {
+			t.Fatalf("trial %d: no null reached the encoding", trial)
 		}
 		got := Discover(rel, Options{})
 		want := bruteforce.DiscoverFDs(rel, 4)

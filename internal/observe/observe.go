@@ -70,6 +70,9 @@ const (
 	CounterDecompositions    = "decompositions"
 	CounterRowsMaterialized  = "rows_materialized"
 	CounterUCCsDiscovered    = "uccs_discovered"
+	// CounterPairsCompared counts the record pairs HyFD's sampler
+	// compared, each yielding one agree set (new or not).
+	CounterPairsCompared = "pairs_compared"
 	// CounterValidationWorkers counts validation worker goroutines
 	// spawned by parallel candidate checking (one persistent
 	// work-stealing pool per discovery run; zero on the serial path).
